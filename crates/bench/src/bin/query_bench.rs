@@ -23,7 +23,7 @@ use corra_columnar::{Column, DataType, Field, Schema, Table};
 use corra_core::store::{TableReader, TableWriter};
 use corra_core::{
     compress_blocks, hash_join_blocks, hash_join_blocks_parallel, top_k_blocks,
-    top_k_blocks_parallel, ColumnPlan, CompressionConfig, JoinExpr, TopKExpr,
+    top_k_blocks_parallel, ColumnPlan, CompressionConfig, JoinExpr, ScanStats, TopKExpr,
 };
 
 const TOPK_K: usize = 128;
@@ -38,6 +38,18 @@ struct QueryRow {
 }
 
 impl QueryRow {
+    /// A series row reporting the counters its driver returned.
+    fn new(name: &str, secs: f64, rows: usize, stats: &ScanStats) -> Self {
+        Self {
+            name: name.into(),
+            secs,
+            rows,
+            blocks_pruned: stats.blocks_pruned,
+            blocks_skipped_io: stats.blocks_skipped_io,
+            bytes_read: stats.bytes_read,
+        }
+    }
+
     fn rows_per_sec(&self) -> f64 {
         self.rows as f64 / self.secs.max(f64::MIN_POSITIVE)
     }
@@ -135,7 +147,9 @@ fn main() {
     for (j, row) in top.iter().enumerate() {
         assert_eq!(row.value, j as i64, "store top-k order");
     }
-    let (ptop, _) = reader.top_k_parallel(&expr, 4).expect("parallel top-k");
+    // Parallel pruning counters depend on how fast the shared bound
+    // tightens; the series reports this parity run's.
+    let (ptop, ptop_stats) = reader.top_k_parallel(&expr, 4).expect("parallel top-k");
     assert_eq!(ptop, top, "parallel top-k diverged from serial");
 
     let full_bytes = {
@@ -165,7 +179,10 @@ fn main() {
     let dict_cfg = CompressionConfig::baseline().with("v", ColumnPlan::Dict);
     let dict_compressed = compress_blocks(&dict_blocks, &dict_cfg, 4).expect("compress");
     let mem_expr = TopKExpr::asc("v", TOPK_K);
-    let (mem_top, _) = top_k_blocks(&dict_compressed, &mem_expr).expect("mem top-k");
+    let (mem_top, mem_stats) = top_k_blocks(&dict_compressed, &mem_expr).expect("mem top-k");
+    let (mem_ptop, mem_par_stats) =
+        top_k_blocks_parallel(&dict_compressed, &mem_expr, 4).expect("parallel mem top-k");
+    assert_eq!(mem_ptop, mem_top, "parallel mem top-k diverged from serial");
     // Parity before timing: decompress every block, sort, take k.
     let mut oracle = Vec::with_capacity(rows);
     for block in &dict_compressed {
@@ -225,7 +242,7 @@ fn main() {
             "join pair maps to the wrong build row"
         );
     }
-    let (ppairs, _) =
+    let (ppairs, join_par_stats) =
         hash_join_blocks_parallel(&build_blocks, &probe_blocks, &join_expr, 4).expect("join");
     assert_eq!(ppairs, pairs, "parallel join diverged from serial");
 
@@ -262,72 +279,37 @@ fn main() {
     });
 
     let topk_series = [
-        QueryRow {
-            name: "store_topk/asc_ts".into(),
-            secs: topk_secs,
+        QueryRow::new("store_topk/asc_ts", topk_secs, rows, &topk_stats),
+        QueryRow::new("store_topk/asc_ts/4t", topk_par_secs, rows, &ptop_stats),
+        QueryRow::new("mem_topk/dict_fast_path", mem_secs, rows, &mem_stats),
+        QueryRow::new(
+            "mem_topk/dict_fast_path/4t",
+            mem_par_secs,
             rows,
-            blocks_pruned: topk_stats.blocks_pruned,
-            blocks_skipped_io: topk_stats.blocks_skipped_io,
-            bytes_read: topk_stats.bytes_read,
-        },
-        QueryRow {
-            name: "store_topk/asc_ts/4t".into(),
-            secs: topk_par_secs,
+            &mem_par_stats,
+        ),
+        // Decompress-then-sort runs no driver: it prunes and reads nothing.
+        QueryRow::new(
+            "mem_topk/decompress_then_sort",
+            naive_secs,
             rows,
-            blocks_pruned: 0,
-            blocks_skipped_io: 0,
-            bytes_read: 0,
-        },
-        QueryRow {
-            name: "mem_topk/dict_fast_path".into(),
-            secs: mem_secs,
-            rows,
-            blocks_pruned: 0,
-            blocks_skipped_io: 0,
-            bytes_read: 0,
-        },
-        QueryRow {
-            name: "mem_topk/dict_fast_path/4t".into(),
-            secs: mem_par_secs,
-            rows,
-            blocks_pruned: 0,
-            blocks_skipped_io: 0,
-            bytes_read: 0,
-        },
-        QueryRow {
-            name: "mem_topk/decompress_then_sort".into(),
-            secs: naive_secs,
-            rows,
-            blocks_pruned: 0,
-            blocks_skipped_io: 0,
-            bytes_read: 0,
-        },
+            &ScanStats::default(),
+        ),
     ];
     let join_series = [
-        QueryRow {
-            name: "mem_join/dict1024".into(),
-            secs: join_secs,
+        QueryRow::new("mem_join/dict1024", join_secs, rows, &join_stats.io),
+        QueryRow::new(
+            "mem_join/dict1024/4t",
+            join_par_secs,
             rows,
-            blocks_pruned: 0,
-            blocks_skipped_io: 0,
-            bytes_read: 0,
-        },
-        QueryRow {
-            name: "mem_join/dict1024/4t".into(),
-            secs: join_par_secs,
+            &join_par_stats.io,
+        ),
+        QueryRow::new(
+            "store_join/dict1024",
+            store_join_secs,
             rows,
-            blocks_pruned: 0,
-            blocks_skipped_io: 0,
-            bytes_read: 0,
-        },
-        QueryRow {
-            name: "store_join/dict1024".into(),
-            secs: store_join_secs,
-            rows,
-            blocks_pruned: 0,
-            blocks_skipped_io: 0,
-            bytes_read: store_join_stats.io.bytes_read,
-        },
+            &store_join_stats.io,
+        ),
     ];
 
     println!(

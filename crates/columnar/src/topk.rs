@@ -56,6 +56,9 @@ pub struct TopKHeap {
     descending: bool,
     /// `(direction-adjusted value rank, position)`; max = worst kept entry.
     heap: BinaryHeap<(u64, u64)>,
+    /// Candidates ranking strictly worse than this are kept out
+    /// (`u64::MAX`: none); see [`TopKHeap::bounded_by`].
+    ceiling: u64,
 }
 
 impl TopKHeap {
@@ -67,7 +70,17 @@ impl TopKHeap {
             descending,
             // Never reserve `k` eagerly: ORDER BY drivers pass k = usize::MAX.
             heap: BinaryHeap::new(),
+            ceiling: u64::MAX,
         }
+    }
+
+    /// Keeps out every candidate whose value rank is strictly worse than
+    /// `worst` — the k-th rank of a full heap this one will be merged
+    /// into, which such a candidate could never enter. Lets a per-block
+    /// heap start as selective as the running global bound.
+    pub fn bounded_by(mut self, worst: Option<u64>) -> Self {
+        self.ceiling = worst.unwrap_or(u64::MAX);
+        self
     }
 
     /// The bound `k`.
@@ -118,10 +131,8 @@ impl TopKHeap {
         if self.k == 0 {
             return false;
         }
-        match self.worst_rank() {
-            Some(worst) => rank(value, self.descending) <= worst,
-            None => true,
-        }
+        let worst = self.worst_rank().unwrap_or(u64::MAX).min(self.ceiling);
+        rank(value, self.descending) <= worst
     }
 
     /// Offers one candidate. Positions must be unique across all offers.
@@ -131,6 +142,9 @@ impl TopKHeap {
             return;
         }
         let r = rank(value, self.descending);
+        if r > self.ceiling {
+            return;
+        }
         if self.heap.len() < self.k {
             self.heap.push((r, pos));
         } else if let Some(mut top) = self.heap.peek_mut() {
@@ -220,6 +234,21 @@ mod tests {
         assert!(!heap.would_accept(21));
         heap.offer(5, 2);
         assert_eq!(heap.threshold(), Some(10));
+    }
+
+    #[test]
+    fn a_bounded_heap_keeps_out_only_what_cannot_enter_the_bound() {
+        // The bound's 2nd-best value is 20: a block heap bounded by it
+        // drops 21 and 30 but keeps 20 (it may still win by position).
+        let mut heap = TopKHeap::new(2, false).bounded_by(Some(rank(20, false)));
+        assert!(heap.would_accept(20));
+        assert!(!heap.would_accept(21));
+        for (p, v) in [30i64, 21, 20, 7].into_iter().enumerate() {
+            heap.offer(v, p as u64);
+        }
+        assert_eq!(heap.into_sorted(), vec![(7, 3), (20, 2)]);
+        let unbounded = TopKHeap::new(2, false).bounded_by(None);
+        assert!(unbounded.would_accept(i64::MAX));
     }
 
     #[test]

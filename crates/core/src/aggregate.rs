@@ -19,12 +19,13 @@
 //!    [`aggregate_blocks_parallel`] byte-identical to the serial fold for
 //!    any thread count.
 //!
-//! Everything is generic over [`BlockView`], so the same engine runs on
-//! in-memory [`CompressedBlock`]s and lazy store
-//! [`BlockHandle`](crate::store::BlockHandle)s; the store entry point
-//! ([`crate::store::TableReader::aggregate`]) additionally answers
-//! fully-covered `COUNT`/`MIN`/`MAX` blocks straight from footer zone maps
-//! with zero payload bytes read.
+//! The per-block kernel runs over any [`BlockSource`] on the
+//! [`crate::morsel::run`] executor, so the same engine serves in-memory
+//! [`CompressedBlock`]s and lazy store
+//! [`BlockHandle`](crate::store::BlockHandle)s; blocks with a footer
+//! ([`crate::store::TableReader::aggregate`]) additionally answer
+//! fully-covered `COUNT`/`MIN`/`MAX` straight from footer zone maps with
+//! zero payload bytes read.
 
 use std::collections::BTreeMap;
 
@@ -34,9 +35,13 @@ use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
 use corra_encodings::{AggInt, AggStr, IntEncoding};
 
+use corra_columnar::predicate::RangeVerdict;
+
 use crate::compressor::{BlockView, ColumnCodec, CompressedBlock};
+use crate::morsel::{BlockCost, BlockSource};
 use crate::query::{eval_formula_mask, int_column, IntColumn};
-use crate::scan::{scan_pruned, validate_pred, Predicate, ScanStats};
+use crate::scan::{check_pred, scan_pruned, tree_verdict, Predicate, ScanStats};
+use crate::store::BlockFooter;
 
 /// The aggregate function of an [`AggExpr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,7 +215,7 @@ impl AggResult {
 
 /// One block's partial aggregate, merged across blocks by [`AggMerger`].
 #[derive(Debug, Clone)]
-pub(crate) enum PartialAgg {
+enum PartialAgg {
     /// Scalar over an integer column (also `COUNT`).
     Int(IntAggState),
     /// Scalar over a string column.
@@ -222,9 +227,25 @@ pub(crate) enum PartialAgg {
 }
 
 impl PartialAgg {
+    /// A scalar `COUNT` of `rows`, typed to the target column's kind.
+    fn count(string_target: bool, rows: usize) -> Self {
+        let count = rows as u64;
+        if string_target {
+            PartialAgg::Str(StrAggState {
+                count,
+                ..StrAggState::default()
+            })
+        } else {
+            PartialAgg::Int(IntAggState {
+                count,
+                ..IntAggState::default()
+            })
+        }
+    }
+
     /// The typed empty partial for a block contributing no rows, matching
     /// the kinds real evaluation would produce so merges stay well-typed.
-    pub(crate) fn empty(string_target: bool, grouped: bool) -> Self {
+    fn empty(string_target: bool, grouped: bool) -> Self {
         match (grouped, string_target) {
             (false, false) => PartialAgg::Int(IntAggState::default()),
             (false, true) => PartialAgg::Str(StrAggState::default()),
@@ -239,7 +260,7 @@ impl PartialAgg {
 /// result is independent of which worker produced which partial, as long
 /// as partials are merged in block order (they are: indexed result slots).
 #[derive(Debug, Default)]
-pub(crate) struct AggMerger {
+struct AggMerger {
     acc: Option<MergedAcc>,
 }
 
@@ -252,54 +273,44 @@ enum MergedAcc {
 }
 
 impl AggMerger {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Merges one block's partial in.
     ///
     /// # Errors
     ///
     /// [`Error::TypeMismatch`] when blocks disagree on the column's kind
     /// (only possible for ad-hoc block collections with differing schemas).
-    pub(crate) fn merge(&mut self, partial: PartialAgg) -> Result<()> {
-        let acc = match self.acc.take() {
-            None => seed_acc(partial),
-            Some(acc) => match (acc, partial) {
-                (MergedAcc::Int(mut a), PartialAgg::Int(b)) => {
-                    a.merge(&b);
-                    MergedAcc::Int(a)
+    fn merge(&mut self, partial: PartialAgg) -> Result<()> {
+        let acc = self.acc.get_or_insert_with(|| match &partial {
+            PartialAgg::Int(_) => MergedAcc::Int(IntAggState::default()),
+            PartialAgg::Str(_) => MergedAcc::Str(StrAggState::default()),
+            PartialAgg::GroupedInt(_) => MergedAcc::GroupedInt(BTreeMap::new()),
+            PartialAgg::GroupedStr(_) => MergedAcc::GroupedStr(BTreeMap::new()),
+        });
+        match (acc, partial) {
+            (MergedAcc::Int(a), PartialAgg::Int(b)) => a.merge(&b),
+            (MergedAcc::Str(a), PartialAgg::Str(b)) => a.merge(&b),
+            (MergedAcc::GroupedInt(a), PartialAgg::GroupedInt(b)) => {
+                for (k, s) in b {
+                    a.entry(k).or_default().merge(&s);
                 }
-                (MergedAcc::Str(mut a), PartialAgg::Str(b)) => {
-                    a.merge(&b);
-                    MergedAcc::Str(a)
+            }
+            (MergedAcc::GroupedStr(a), PartialAgg::GroupedStr(b)) => {
+                for (k, s) in b {
+                    a.entry(k).or_default().merge(&s);
                 }
-                (MergedAcc::GroupedInt(mut a), PartialAgg::GroupedInt(b)) => {
-                    for (k, s) in b {
-                        a.entry(k).or_default().merge(&s);
-                    }
-                    MergedAcc::GroupedInt(a)
-                }
-                (MergedAcc::GroupedStr(mut a), PartialAgg::GroupedStr(b)) => {
-                    for (k, s) in b {
-                        a.entry(k).or_default().merge(&s);
-                    }
-                    MergedAcc::GroupedStr(a)
-                }
-                _ => {
-                    return Err(Error::TypeMismatch {
-                        expected: "aggregate partials of one column kind",
-                        found: "blocks disagreeing on the column kind",
-                    })
-                }
-            },
-        };
-        self.acc = Some(acc);
+            }
+            _ => {
+                return Err(Error::TypeMismatch {
+                    expected: "aggregate partials of one column kind",
+                    found: "blocks disagreeing on the column kind",
+                })
+            }
+        }
         Ok(())
     }
 
     /// Finalizes into the requested function's result.
-    pub(crate) fn finish(self, expr: &AggExpr) -> AggResult {
+    fn finish(self, expr: &AggExpr) -> AggResult {
         match self.acc {
             None => {
                 // Zero blocks: the empty result (grouped: no groups;
@@ -326,27 +337,6 @@ impl AggMerger {
     }
 }
 
-fn seed_acc(partial: PartialAgg) -> MergedAcc {
-    match partial {
-        PartialAgg::Int(s) => MergedAcc::Int(s),
-        PartialAgg::Str(s) => MergedAcc::Str(s),
-        PartialAgg::GroupedInt(v) => {
-            let mut m = BTreeMap::new();
-            for (k, s) in v {
-                m.entry(k).or_insert_with(IntAggState::default).merge(&s);
-            }
-            MergedAcc::GroupedInt(m)
-        }
-        PartialAgg::GroupedStr(v) => {
-            let mut m = BTreeMap::new();
-            for (k, s) in v {
-                m.entry(k).or_insert_with(StrAggState::default).merge(&s);
-            }
-            MergedAcc::GroupedStr(m)
-        }
-    }
-}
-
 fn finalize_int(func: AggFunc, s: &IntAggState) -> AggValue {
     match func {
         AggFunc::Count => AggValue::Count(s.count),
@@ -367,61 +357,64 @@ fn finalize_str(func: AggFunc, s: &StrAggState) -> AggValue {
     }
 }
 
-fn is_string_codec(codec: &ColumnCodec) -> bool {
-    matches!(
-        codec,
-        ColumnCodec::Str(_) | ColumnCodec::PlainStr(_) | ColumnCodec::HierStr { .. }
-    )
+fn not_dictionary(group: &str) -> Error {
+    Error::invalid(format!(
+        "GROUP BY column {group} must be dictionary-encoded \
+         (a Dict plan or a hierarchical parent)"
+    ))
 }
 
-/// Checks a `GROUP BY` column's codec exposes dictionary codes. Shared
-/// with the store, whose footer cannot distinguish dictionary from other
-/// vertical integer layouts — it loads this one codec to check, so
-/// zone-short-circuited blocks error exactly like the in-memory engine.
-pub(crate) fn validate_group_codec(codec: &ColumnCodec, group: &str) -> Result<()> {
+/// Checks a `GROUP BY` column's codec exposes dictionary codes.
+fn validate_group_codec(codec: &ColumnCodec, group: &str) -> Result<()> {
     match codec {
         ColumnCodec::Int(IntEncoding::Dict(_)) | ColumnCodec::Str(_) => Ok(()),
-        _ => Err(Error::invalid(format!(
-            "GROUP BY column {group} must be dictionary-encoded \
-             (a Dict plan or a hierarchical parent)"
-        ))),
+        _ => Err(not_dictionary(group)),
     }
 }
 
-/// Validates the whole expression against one block up front — unknown
-/// columns, `SUM`/`AVG` on strings, a non-dictionary `GROUP BY` column and
-/// malformed filters error deterministically, before any kernel runs and
-/// regardless of what the filter selects.
-pub(crate) fn validate_expr<B: BlockView + ?Sized>(block: &B, expr: &AggExpr) -> Result<()> {
+/// Validates the whole expression up front — unknown columns, `SUM`/`AVG`
+/// on strings, a bad `GROUP BY` column and malformed filters error
+/// deterministically, before any kernel runs and regardless of what the
+/// filter selects. `is_string` and `check_group` answer from codecs or
+/// from a footer (see [`crate::scan::check_pred`]).
+fn check_expr(
+    expr: &AggExpr,
+    is_string: &dyn Fn(&str) -> Result<bool>,
+    check_group: &dyn Fn(&str) -> Result<()>,
+) -> Result<()> {
     if let Some(pred) = &expr.filter {
-        validate_pred(block, pred)?;
+        check_pred(pred, is_string)?;
     }
-    match (&expr.column, expr.func) {
-        (None, AggFunc::Count) => {}
-        (None, _) => return Err(Error::invalid("aggregate function requires a column")),
-        (Some(col), func) => {
-            let idx = block.index_of(col)?;
-            if is_string_codec(block.view_codec(idx)?)
-                && matches!(func, AggFunc::Sum | AggFunc::Avg)
-            {
-                return Err(Error::TypeMismatch {
-                    expected: "integer column for SUM/AVG",
-                    found: "string column",
-                });
-            }
+    if let Some(col) = &expr.column {
+        if is_string(col)? && matches!(expr.func, AggFunc::Sum | AggFunc::Avg) {
+            return Err(Error::TypeMismatch {
+                expected: "integer column for SUM/AVG",
+                found: "string column",
+            });
         }
+    } else if expr.func != AggFunc::Count {
+        return Err(Error::invalid("aggregate function requires a column"));
     }
-    if let Some(group) = &expr.group_by {
-        let idx = block.index_of(group)?;
-        validate_group_codec(block.view_codec(idx)?, group)?;
+    match &expr.group_by {
+        Some(group) => check_group(group),
+        None => Ok(()),
     }
-    Ok(())
+}
+
+/// [`check_expr`] against one block's codecs, including the `GROUP BY`
+/// column's dictionary layout.
+fn validate_expr<B: BlockView + ?Sized>(block: &B, expr: &AggExpr) -> Result<()> {
+    check_expr(
+        expr,
+        &|c| Ok(block.view_codec(block.index_of(c)?)?.is_string()),
+        &|g| validate_group_codec(block.view_codec(block.index_of(g)?)?, g),
+    )
 }
 
 /// Evaluates `expr` against one block, returning
 /// `(partial, filter_pruned, rows_matched)`. `filter_pruned` is true when
 /// the filter (if any) was answered entirely from zone maps.
-pub(crate) fn aggregate_partial<B: BlockView + ?Sized>(
+fn aggregate_partial<B: BlockView + ?Sized>(
     block: &B,
     expr: &AggExpr,
 ) -> Result<(PartialAgg, bool, usize)> {
@@ -456,11 +449,8 @@ fn eval_scalar<B: BlockView + ?Sized>(
 ) -> Result<PartialAgg> {
     let Some(col) = &expr.column else {
         // COUNT(*): the selection length is the answer — no payload fold.
-        let count = sel.map_or(block.rows(), SelectionVector::len) as u64;
-        return Ok(PartialAgg::Int(IntAggState {
-            count,
-            ..IntAggState::default()
-        }));
+        let count = sel.map_or(block.rows(), SelectionVector::len);
+        return Ok(PartialAgg::count(false, count));
     };
     let idx = block.index_of(col)?;
     match block.view_codec(idx)? {
@@ -654,9 +644,105 @@ fn collect_grouped_str(keys: Vec<GroupKey>, states: Vec<StrAggState>) -> Partial
 /// front — plus anything a lazy view reports while loading payloads.
 pub fn aggregate<B: BlockView + ?Sized>(block: &B, expr: &AggExpr) -> Result<AggResult> {
     let (partial, _, _) = aggregate_partial(block, expr)?;
-    let mut merger = AggMerger::new();
+    let mut merger = AggMerger::default();
     merger.merge(partial)?;
     Ok(merger.finish(expr))
+}
+
+/// Answers `expr` on one block from its footer when it can: an empty
+/// filter verdict contributes nothing, and a fully-covered `COUNT` (the
+/// row count) or `MIN`/`MAX` (exact zones) reads no payload byte.
+/// `None` when the kernel has to run.
+fn footer_partial<S: BlockSource + ?Sized>(
+    src: &S,
+    block: usize,
+    footer: &BlockFooter<'_>,
+    expr: &AggExpr,
+) -> Result<Option<(PartialAgg, BlockCost)>> {
+    check_expr(expr, &|c| footer.is_string(c), &|g| {
+        if footer.column(g)?.header.is_horizontal() {
+            return Err(not_dictionary(g));
+        }
+        Ok(())
+    })?;
+    let rows = footer.rows();
+    let string_target = match &expr.column {
+        Some(c) => footer.is_string(c)?,
+        None => false,
+    };
+    let grouped = expr.group_by.is_some();
+    let verdict = match &expr.filter {
+        _ if rows == 0 && !grouped => RangeVerdict::None,
+        None => RangeVerdict::All,
+        Some(pred) => tree_verdict(pred, &|c| footer.zone_of(c)),
+    };
+    let (partial, matched) = match (verdict, expr.func) {
+        (RangeVerdict::None, _) if grouped => {
+            // The footer tag cannot tell Dict from other vertical int
+            // codecs, so load the group codec: a non-dictionary GROUP BY
+            // errors here exactly as the in-memory engine does.
+            let view = src.view(block)?;
+            let group = expr.group_by.as_deref().expect("grouped");
+            validate_group_codec(view.view_codec(view.index_of(group)?)?, group)?;
+            let cost = BlockCost::ran::<S>(&view, true, 0);
+            return Ok(Some((PartialAgg::empty(string_target, true), cost)));
+        }
+        (RangeVerdict::None, _) => (PartialAgg::empty(string_target, false), 0),
+        _ if grouped => return Ok(None),
+        // COUNT over a fully-covered block is the footer row count, typed
+        // to the target column's kind so partials merge with kernel-path
+        // partials from other blocks.
+        (RangeVerdict::All, AggFunc::Count) => (PartialAgg::count(string_target, rows), rows),
+        // MIN/MAX with *exact* footer bounds: the partial's sum stays 0 —
+        // sound, because SUM/AVG never take this path and finalize reads
+        // only count/min/max here.
+        (RangeVerdict::All, AggFunc::Min | AggFunc::Max) if !string_target => {
+            let column = footer.column(expr.column.as_deref().expect("validated"))?;
+            let Some(zone) = column.zone.filter(|_| column.zone_exact) else {
+                return Ok(None);
+            };
+            let state = IntAggState {
+                count: rows as u64,
+                sum: 0,
+                min: Some(zone.min),
+                max: Some(zone.max),
+            };
+            (PartialAgg::Int(state), rows)
+        }
+        _ => return Ok(None),
+    };
+    Ok(Some((partial, BlockCost::footer(matched))))
+}
+
+/// The aggregate kernel: one block's partial.
+fn aggregate_block<S: BlockSource + ?Sized>(
+    src: &S,
+    block: usize,
+    expr: &AggExpr,
+) -> Result<(PartialAgg, BlockCost)> {
+    if let Some(footer) = src.footer(block) {
+        if let Some(answer) = footer_partial(src, block, &footer, expr)? {
+            return Ok(answer);
+        }
+    }
+    let view = src.view(block)?;
+    let (partial, pruned, matched) = aggregate_partial(&view, expr)?;
+    Ok((partial, BlockCost::ran::<S>(&view, pruned, matched)))
+}
+
+/// Aggregates every block of `src` on `threads` morsel workers, merging
+/// the partials in block order.
+pub(crate) fn aggregate_source<S: BlockSource + Sync + ?Sized>(
+    src: &S,
+    expr: &AggExpr,
+    threads: usize,
+) -> Result<(AggResult, ScanStats)> {
+    let (partials, stats) = crate::morsel::drive(src, threads, |b| aggregate_block(src, b, expr))?;
+    let mut merger = AggMerger::default();
+    for partial in partials {
+        merger.merge(partial)?;
+    }
+    Ok((merger.finish(expr), stats))
 }
 
 /// Evaluates `expr` across many blocks, merging per-block partial states
@@ -671,25 +757,12 @@ pub fn aggregate_blocks(
     blocks: &[CompressedBlock],
     expr: &AggExpr,
 ) -> Result<(AggResult, ScanStats)> {
-    let mut merger = AggMerger::new();
-    let mut stats = ScanStats::default();
-    for block in blocks {
-        let (partial, pruned, matched) = aggregate_partial(block, expr)?;
-        stats.blocks += 1;
-        stats.blocks_pruned += usize::from(pruned);
-        stats.rows_total += block.rows();
-        stats.rows_matched += matched;
-        merger.merge(partial)?;
-    }
-    Ok((merger.finish(expr), stats))
+    aggregate_source(blocks, expr, 1)
 }
 
-/// Morsel-driven parallel [`aggregate_blocks`]: `threads` scoped workers
-/// pull block morsels off a shared atomic counter (mirroring
-/// [`crate::scan::scan_blocks_parallel`]); per-block partials land in
-/// indexed slots and merge in block order, so the result — including the
-/// exact `i128` sums — is byte-identical to the serial fold for any thread
-/// count.
+/// [`aggregate_blocks`] on `threads` morsel workers; partials merge in
+/// block order, so the result — including the exact `i128` sums — is
+/// byte-identical to the serial fold for any thread count.
 ///
 /// # Errors
 ///
@@ -699,47 +772,7 @@ pub fn aggregate_blocks_parallel(
     expr: &AggExpr,
     threads: usize,
 ) -> Result<(AggResult, ScanStats)> {
-    let threads = threads.max(1).min(blocks.len().max(1));
-    if threads <= 1 || blocks.len() <= 1 {
-        return aggregate_blocks(blocks, expr);
-    }
-    type Slot = std::sync::Mutex<Option<Result<(PartialAgg, bool, usize)>>>;
-    let slots: Vec<Slot> = (0..blocks.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let panicked = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= blocks.len() {
-                        break;
-                    }
-                    let partial = aggregate_partial(&blocks[i], expr);
-                    *slots[i].lock().expect("aggregate slot poisoned") = Some(partial);
-                })
-            })
-            .collect();
-        workers.into_iter().any(|w| w.join().is_err())
-    });
-    if panicked {
-        return Err(Error::invalid("parallel aggregate worker panicked"));
-    }
-    let mut merger = AggMerger::new();
-    let mut stats = ScanStats::default();
-    for (slot, block) in slots.into_iter().zip(blocks) {
-        let (partial, pruned, matched) = slot
-            .into_inner()
-            .expect("aggregate slot poisoned")
-            .expect("every block visited")?;
-        stats.blocks += 1;
-        stats.blocks_pruned += usize::from(pruned);
-        stats.rows_total += block.rows();
-        stats.rows_matched += matched;
-        merger.merge(partial)?;
-    }
-    Ok((merger.finish(expr), stats))
+    aggregate_source(blocks, expr, threads)
 }
 
 /// *Exact* min/max bounds for the column at `idx`, or `None` when only

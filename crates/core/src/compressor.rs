@@ -202,6 +202,14 @@ impl ColumnCodec {
         self.len() == 0
     }
 
+    /// Whether this codec stores strings.
+    pub(crate) fn is_string(&self) -> bool {
+        matches!(
+            self,
+            ColumnCodec::Str(_) | ColumnCodec::PlainStr(_) | ColumnCodec::HierStr { .. }
+        )
+    }
+
     /// Whether queries on this codec must first fetch reference column(s).
     pub fn is_horizontal(&self) -> bool {
         matches!(
@@ -250,6 +258,20 @@ pub trait BlockView {
     /// Out-of-range indices, or any I/O / corruption error a lazy
     /// implementation hits while loading the payload.
     fn view_codec(&self, i: usize) -> Result<&ColumnCodec>;
+}
+
+impl<B: BlockView + ?Sized> BlockView for &B {
+    fn rows(&self) -> usize {
+        (**self).rows()
+    }
+
+    fn names(&self) -> &[String] {
+        (**self).names()
+    }
+
+    fn view_codec(&self, i: usize) -> Result<&ColumnCodec> {
+        (**self).view_codec(i)
+    }
 }
 
 /// A self-contained compressed data block.
@@ -626,50 +648,17 @@ fn codec_kind(c: &ColumnCodec) -> &'static str {
     }
 }
 
-/// Compresses many blocks in parallel with scoped threads (blocks are
-/// self-contained by construction, so this is embarrassingly parallel).
+/// Compresses many blocks on [`crate::morsel::run`]'s `threads` workers
+/// (blocks are self-contained by construction, so this is embarrassingly
+/// parallel); output order matches `blocks`.
 pub fn compress_blocks(
     blocks: &[DataBlock],
     config: &CompressionConfig,
     threads: usize,
 ) -> Result<Vec<CompressedBlock>> {
-    let threads = threads.max(1).min(blocks.len().max(1));
-    if threads <= 1 || blocks.len() <= 1 {
-        return blocks
-            .iter()
-            .map(|b| CompressedBlock::compress(b, config))
-            .collect();
-    }
-    let results: Vec<std::sync::Mutex<Option<Result<CompressedBlock>>>> = (0..blocks.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let panicked = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= blocks.len() {
-                        break;
-                    }
-                    let compressed = CompressedBlock::compress(&blocks[i], config);
-                    *results[i].lock().expect("result slot poisoned") = Some(compressed);
-                })
-            })
-            .collect();
-        workers.into_iter().any(|w| w.join().is_err())
-    });
-    if panicked {
-        return Err(Error::invalid("parallel compression worker panicked"));
-    }
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every block visited")
-        })
-        .collect()
+    crate::morsel::run(blocks.len(), threads, |i| {
+        CompressedBlock::compress(&blocks[i], config)
+    })
 }
 
 #[cfg(test)]

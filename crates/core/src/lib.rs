@@ -31,6 +31,10 @@
 //! * [`operator`](mod@operator) — compressed-domain operators: TOP-K /
 //!   ORDER BY with zone-map pruning against a shared k-th bound, and
 //!   dictionary-code hash joins with late materialization;
+//! * [`morsel`](mod@morsel) — the one block executor: [`morsel::run`]
+//!   runs every operator's per-block kernel over a [`morsel::BlockSource`]
+//!   (in-memory blocks, a table file or a segmented table), serially or on
+//!   scoped workers, and folds block costs into one [`ScanStats`];
 //! * [`store`](mod@store) — the indexed table storage layer: multi-block
 //!   files whose footer addresses every codec payload, enabling projection
 //!   pushdown, I/O-free block pruning and streaming writes;
@@ -73,6 +77,7 @@ pub mod hier;
 pub mod ingest;
 pub mod io;
 pub mod manifest;
+pub mod morsel;
 pub mod multiref;
 pub mod nonhier;
 pub mod operator;
@@ -112,6 +117,7 @@ pub use io::{
     checksum64, FaultInjector, FaultPlan, FaultStats, FaultyBackend, IoBackend, MemBackend,
 };
 pub use manifest::{Manifest, SegmentEntry};
+pub use morsel::{BlockSource, LoadCost};
 pub use multiref::{Formula, FormulaStats, MultiRefInt};
 pub use nonhier::{plan_window, NonHierInt, WindowPlan};
 pub use operator::{
@@ -126,10 +132,10 @@ pub use scan::{
     query_parallel, scan, scan_blocks, scan_blocks_parallel, scan_pruned, scan_query,
     scan_query_both, CmpOp, Predicate, ScanStats,
 };
-pub use serve::{ServeOutcome, ServeRequest, ServeResult, ServeSession, ServeSource};
+pub use serve::{ServeOutcome, ServeRequest, ServeResult, ServeSession};
 pub use store::{
-    write_table, BlockHandle, BlockMeta, ColumnMeta, SegmentedTable, TableFooter, TableReader,
-    TableWriter,
+    write_table, BlockFooter, BlockHandle, BlockMeta, ColumnMeta, SegmentedTable, TableFooter,
+    TableReader, TableWriter,
 };
 pub use torture::{corruption_sweep, SweepOptions, SweepReport};
 pub use vfs::{DirVfs, FaultyVfs, SimVfs, Vfs};

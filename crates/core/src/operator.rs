@@ -3,9 +3,9 @@
 //!
 //! Both operators follow the same shape as [`mod@crate::aggregate`]: a
 //! per-block kernel dispatched through the `IntColumn` visitor (so each
-//! codec family contributes one fast path, not seven ladders), a serial
-//! driver, and a morsel-parallel driver that is bit-identical to the
-//! serial one for any thread count.
+//! codec family contributes one fast path, not seven ladders), run over
+//! any [`BlockSource`] by the [`crate::morsel::run`] executor, plus one
+//! in-order merge — bit-identical for any thread count.
 //!
 //! **TOP-K** exploits codec order: sorted int dictionaries select winners
 //! in the code domain, RLE folds whole runs, FOR/plain stream through the
@@ -28,16 +28,18 @@
 //! so only touched blocks and only named columns decode.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use corra_columnar::error::{Error, Result};
+use corra_columnar::predicate::RangeVerdict;
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::topk::{rank, TopKHeap};
-use corra_encodings::{IntEncoding, TopKInt};
+use corra_encodings::{DictStr, IntEncoding, TopKInt};
 use rustc_hash::FxHashMap;
 
 use crate::compressor::{BlockView, ColumnCodec};
+use crate::morsel::{BlockCost, BlockSource};
 use crate::query::{eval_formula_mask, int_column, query_column, IntColumn, QueryOutput};
 use crate::scan::{column_bounds, scan_pruned, validate_pred, Predicate, ScanStats};
 
@@ -110,7 +112,7 @@ impl TopKExpr {
 }
 
 /// Addresses one row of a multi-block table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId {
     /// Block number (global across segments for segmented drivers).
     pub block: u32,
@@ -139,20 +141,9 @@ impl TopKRow {
     }
 }
 
-pub(crate) fn rows_from(heap: TopKHeap) -> Vec<TopKRow> {
-    heap.into_sorted()
-        .into_iter()
-        .map(|(value, pos)| TopKRow {
-            value,
-            block: (pos >> 32) as u32,
-            row: pos as u32,
-        })
-        .collect()
-}
-
-/// The shared k-th bound threaded through morsel-parallel TOP-K drivers:
-/// a mutex-protected global heap plus a lock-free snapshot of the current
-/// k-th value's rank for block-level pruning.
+/// The k-th bound every TOP-K driver shares across its blocks (at any
+/// thread count): a mutex-protected global heap plus a lock-free snapshot
+/// of the current k-th value's rank for block-level pruning.
 pub struct TopKBound {
     heap: Mutex<TopKHeap>,
     /// Rank of the k-th (worst kept) value once the heap is full;
@@ -190,7 +181,17 @@ impl TopKBound {
 
     /// Consumes the bound, returning the global result best-first.
     pub fn into_rows(self) -> Vec<TopKRow> {
-        rows_from(self.heap.into_inner().unwrap())
+        self.heap
+            .into_inner()
+            .expect("a worker panicked while merging into the bound")
+            .into_sorted()
+            .into_iter()
+            .map(|(value, pos)| TopKRow {
+                value,
+                block: (pos >> 32) as u32,
+                row: pos as u32,
+            })
+            .collect()
     }
 }
 
@@ -199,7 +200,7 @@ impl TopKBound {
 /// bound may still win on the position tie-break (the heap can hold
 /// entries from later-numbered blocks under morsel interleaving), so only
 /// a strictly worse zone is skippable.
-pub(crate) fn zone_skips_topk(
+fn zone_skips_topk(
     zone: Option<corra_columnar::stats::ZoneMap>,
     descending: bool,
     worst: Option<u64>,
@@ -211,19 +212,6 @@ pub(crate) fn zone_skips_topk(
         }
         _ => false,
     }
-}
-
-/// Validates that `expr` names an integer column (and a well-formed
-/// filter) on `block` without running any kernel — the `k == 0` path and
-/// prune paths still type-check this way, so a malformed query never
-/// silently succeeds.
-pub(crate) fn validate_topk<B: BlockView + ?Sized>(block: &B, expr: &TopKExpr) -> Result<()> {
-    let idx = block.index_of(&expr.column)?;
-    int_column(block, idx)?;
-    if let Some(pred) = &expr.filter {
-        validate_pred(block, pred)?;
-    }
-    Ok(())
 }
 
 fn offer_selected<B: BlockView + ?Sized>(
@@ -289,41 +277,95 @@ fn offer_full<B: BlockView + ?Sized>(
     }
 }
 
-/// Runs the TOP-K kernel over one block, offering candidates into `heap`
-/// with positions based at `block_no << 32`.
-///
-/// Returns `(filter_pruned, rows_matched)`: whether the filter was
-/// answered entirely from zone maps, and how many rows passed it.
-pub(crate) fn top_k_block<B: BlockView + ?Sized>(
-    block: &B,
-    block_no: u32,
+/// The TOP-K kernel: offers one block's candidates into `bound` through a
+/// block-local heap. Blocks whose best possible value ranks strictly worse
+/// than the bound's k-th value are skipped — from the footer zone before
+/// any payload load when the block has one, else from codec bounds.
+fn top_k_block_of<S: BlockSource + ?Sized>(
+    src: &S,
+    block: usize,
     expr: &TopKExpr,
-    heap: &mut TopKHeap,
-) -> Result<(bool, usize)> {
-    let rows = block.rows();
-    let idx = block.index_of(&expr.column)?;
-    let base = (block_no as u64) << 32;
-    match &expr.filter {
-        Some(pred) => {
-            let (sel, pruned) = scan_pruned(block, pred)?;
-            let matched = sel.len();
-            if matched == 0 {
-                // Still type-check the target column: a string target must
-                // fail identically whether or not the filter matched.
-                int_column(block, idx)?;
-            } else if matched == rows {
-                // Full-block match: normalize to the unfiltered fast paths.
-                offer_full(block, idx, base, heap)?;
-            } else {
-                offer_selected(block, idx, base, &sel, heap)?;
-            }
-            Ok((pruned, matched))
+    bound: &TopKBound,
+) -> Result<((), BlockCost)> {
+    let footer = src.footer(block);
+    if let Some(f) = &footer {
+        // Footer-only validation, so skipped blocks report the same errors
+        // as evaluated ones.
+        if f.is_string(&expr.column)? {
+            return Err(Error::TypeMismatch {
+                expected: "integer column for TOP-K",
+                found: "string column",
+            });
         }
-        None => {
-            offer_full(block, idx, base, heap)?;
-            Ok((false, rows))
+        let filtered_out = match &expr.filter {
+            Some(pred) => f.verdict(pred)? == RangeVerdict::None,
+            None => false,
+        };
+        if f.rows() == 0
+            || expr.k == 0
+            || zone_skips_topk(f.zone_of(&expr.column), expr.descending, bound.worst_rank())
+            || filtered_out
+        {
+            return Ok(((), BlockCost::footer(0)));
         }
     }
+    let view = src.view(block)?;
+    let idx = view.index_of(&expr.column)?;
+    if expr.k == 0 {
+        // Nothing can enter, but a malformed query must still fail.
+        int_column(&view, idx)?;
+        if let Some(pred) = &expr.filter {
+            validate_pred(&view, pred)?;
+        }
+        return Ok(((), BlockCost::default()));
+    }
+    if footer.is_none()
+        && zone_skips_topk(
+            column_bounds(&view, idx),
+            expr.descending,
+            bound.worst_rank(),
+        )
+    {
+        return Ok(((), BlockCost::ran::<S>(&view, true, 0)));
+    }
+    // Candidate positions are `(block << 32) | row`.
+    let base = (block as u64) << 32;
+    let mut local = TopKHeap::new(expr.k, expr.descending).bounded_by(bound.worst_rank());
+    let (pruned, matched) = match &expr.filter {
+        None => {
+            offer_full(&view, idx, base, &mut local)?;
+            (false, view.rows())
+        }
+        Some(pred) => {
+            let (sel, pruned) = scan_pruned(&view, pred)?;
+            if sel.is_empty() {
+                // Still type-check the target column: a string target must
+                // fail identically whether or not the filter matched.
+                int_column(&view, idx)?;
+            } else if sel.len() == view.rows() {
+                // Full-block match: normalize to the unfiltered fast paths.
+                offer_full(&view, idx, base, &mut local)?;
+            } else {
+                offer_selected(&view, idx, base, &sel, &mut local)?;
+            }
+            (pruned, sel.len())
+        }
+    };
+    bound.merge(local);
+    Ok(((), BlockCost::ran::<S>(&view, pruned, matched)))
+}
+
+/// TOP-K over every block of `src` on `threads` morsel workers sharing one
+/// [`TopKBound`]. Serially, the bound after each block equals a single
+/// heap fed every block in order, so serial pruning is deterministic.
+pub(crate) fn top_k_source<S: BlockSource + Sync + ?Sized>(
+    src: &S,
+    expr: &TopKExpr,
+    threads: usize,
+) -> Result<(Vec<TopKRow>, ScanStats)> {
+    let bound = TopKBound::new(expr.k, expr.descending);
+    let (_, stats) = crate::morsel::drive(src, threads, |b| top_k_block_of(src, b, expr, &bound))?;
+    Ok((bound.into_rows(), stats))
 }
 
 /// Serial TOP-K over in-memory blocks (any [`BlockView`] — compressed
@@ -340,37 +382,16 @@ pub fn top_k_blocks<B: BlockView>(
     blocks: &[B],
     expr: &TopKExpr,
 ) -> Result<(Vec<TopKRow>, ScanStats)> {
-    let mut stats = ScanStats::default();
-    let mut heap = TopKHeap::new(expr.k, expr.descending);
-    for (b, block) in blocks.iter().enumerate() {
-        stats.blocks += 1;
-        stats.rows_total += block.rows();
-        if expr.k == 0 {
-            validate_topk(block, expr)?;
-            continue;
-        }
-        let idx = block.index_of(&expr.column)?;
-        if zone_skips_topk(
-            column_bounds(block, idx),
-            expr.descending,
-            heap.worst_rank(),
-        ) {
-            stats.blocks_pruned += 1;
-            continue;
-        }
-        let (pruned, matched) = top_k_block(block, b as u32, expr, &mut heap)?;
-        if pruned {
-            stats.blocks_pruned += 1;
-        }
-        stats.rows_matched += matched;
-    }
-    Ok((rows_from(heap), stats))
+    // `B` need not be `Sync`, so this takes the executor's inline path.
+    let bound = TopKBound::new(expr.k, expr.descending);
+    let (_, stats) =
+        crate::morsel::drive_inline(blocks, |b| top_k_block_of(blocks, b, expr, &bound))?;
+    Ok((bound.into_rows(), stats))
 }
 
-/// Morsel-parallel TOP-K over in-memory blocks: workers pull block
-/// indices off a shared counter, prune against the shared [`TopKBound`],
-/// and merge per-block heaps. Result rows are bit-identical to
-/// [`top_k_blocks`] for any `threads`.
+/// [`top_k_blocks`] on `threads` morsel workers pruning against one shared
+/// [`TopKBound`]. Result rows are bit-identical to [`top_k_blocks`] for
+/// any `threads`.
 ///
 /// # Errors
 ///
@@ -381,59 +402,7 @@ pub fn top_k_blocks_parallel<B: BlockView + Sync>(
     expr: &TopKExpr,
     threads: usize,
 ) -> Result<(Vec<TopKRow>, ScanStats)> {
-    let n = blocks.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 || expr.k == 0 {
-        return top_k_blocks(blocks, expr);
-    }
-    let bound = TopKBound::new(expr.k, expr.descending);
-    let next = AtomicUsize::new(0);
-    type Slot = Mutex<Option<Result<(usize, bool, usize)>>>;
-    let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-    let panicked = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= n {
-                        break;
-                    }
-                    let block = &blocks[b];
-                    let out = (|| {
-                        let idx = block.index_of(&expr.column)?;
-                        let zone = column_bounds(block, idx);
-                        if zone_skips_topk(zone, expr.descending, bound.worst_rank()) {
-                            return Ok((block.rows(), true, 0));
-                        }
-                        let mut local = TopKHeap::new(expr.k, expr.descending);
-                        let (pruned, matched) = top_k_block(block, b as u32, expr, &mut local)?;
-                        bound.merge(local);
-                        Ok((block.rows(), pruned, matched))
-                    })();
-                    *slots[b].lock().unwrap() = Some(out);
-                })
-            })
-            .collect();
-        workers.into_iter().any(|w| w.join().is_err())
-    });
-    if panicked {
-        return Err(Error::invalid("parallel top-k worker panicked"));
-    }
-    let mut stats = ScanStats::default();
-    for slot in &slots {
-        let (rows, pruned, matched) = slot
-            .lock()
-            .unwrap()
-            .take()
-            .expect("every block slot visited")?;
-        stats.blocks += 1;
-        stats.rows_total += rows;
-        if pruned {
-            stats.blocks_pruned += 1;
-        }
-        stats.rows_matched += matched;
-    }
-    Ok((bound.into_rows(), stats))
+    top_k_source(blocks, expr, threads)
 }
 
 /// An inner equi-join between a build side and a probe side, keyed on
@@ -465,7 +434,7 @@ impl JoinExpr {
 }
 
 /// One matched row pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinPair {
     /// The build-side row.
     pub build: RowId,
@@ -484,133 +453,33 @@ pub struct JoinStats {
     pub distinct_keys: usize,
     /// Matched pairs emitted.
     pub pairs: usize,
-    /// Store-side accounting (bytes, cache, segments) for store-backed
-    /// drivers; all-zero for in-memory joins.
+    /// Blocks and rows visited on both sides, plus bytes, cache traffic
+    /// and segments for store-backed drivers (zero in memory).
     pub io: ScanStats,
 }
-
-const MISS: u32 = u32::MAX;
 
 enum KeySpace {
     Int(FxHashMap<i64, u32>),
     Str(FxHashMap<String, u32>),
 }
 
-/// The build side of a dict-code hash join: a global key table plus, per
-/// key id, the build rows holding it (in `(block, row)` insertion order).
-pub(crate) struct BuildTable {
-    space: Option<KeySpace>,
-    rows_of: Vec<Vec<RowId>>,
-    build_rows: usize,
+/// One block's join-key dictionary: its distinct keys, and each row's
+/// code into them.
+enum BlockKeys<'a> {
+    Int(&'a [i64]),
+    Str(&'a DictStr),
 }
 
-impl BuildTable {
-    pub(crate) fn new() -> Self {
-        Self {
-            space: None,
-            rows_of: Vec::new(),
-            build_rows: 0,
-        }
-    }
-
-    pub(crate) fn build_rows(&self) -> usize {
-        self.build_rows
-    }
-
-    pub(crate) fn distinct(&self) -> usize {
-        self.rows_of.len()
-    }
-
-    fn intern_int(&mut self, v: i64) -> u32 {
-        let space = self
-            .space
-            .get_or_insert_with(|| KeySpace::Int(FxHashMap::default()));
-        match space {
-            KeySpace::Int(m) => {
-                let next = self.rows_of.len() as u32;
-                let id = *m.entry(v).or_insert(next);
-                if id == next && self.rows_of.len() == next as usize {
-                    self.rows_of.push(Vec::new());
-                }
-                id
-            }
-            KeySpace::Str(_) => unreachable!("checked before interning"),
-        }
-    }
-
-    fn intern_str(&mut self, s: &str) -> u32 {
-        let space = self
-            .space
-            .get_or_insert_with(|| KeySpace::Str(FxHashMap::default()));
-        match space {
-            KeySpace::Str(m) => {
-                if let Some(&id) = m.get(s) {
-                    id
-                } else {
-                    let id = self.rows_of.len() as u32;
-                    m.insert(s.to_owned(), id);
-                    self.rows_of.push(Vec::new());
-                    id
-                }
-            }
-            KeySpace::Int(_) => unreachable!("checked before interning"),
-        }
-    }
-
-    /// Adds one build block: hashes each *distinct* key once into the
-    /// global table (the per-block code→global-id remap), then streams the
-    /// packed codes so per-row work is an array index.
-    pub(crate) fn add_block<B: BlockView + ?Sized>(
-        &mut self,
-        block: &B,
-        block_no: u32,
-        key: &str,
-    ) -> Result<()> {
-        let idx = block.index_of(key)?;
-        match block.view_codec(idx)? {
+impl<'a> BlockKeys<'a> {
+    fn of<B: BlockView + ?Sized>(block: &'a B, key: &str, codes: &mut Vec<u32>) -> Result<Self> {
+        match block.view_codec(block.index_of(key)?)? {
             ColumnCodec::Int(IntEncoding::Dict(d)) => {
-                if matches!(self.space, Some(KeySpace::Str(_))) {
-                    return Err(Error::TypeMismatch {
-                        expected: "int join key",
-                        found: "str join key",
-                    });
-                }
-                let remap: Vec<u32> = d.dict().iter().map(|&v| self.intern_int(v)).collect();
-                let mut codes = Vec::new();
-                d.codes_into(&mut codes);
-                for (i, &c) in codes.iter().enumerate() {
-                    self.rows_of[remap[c as usize] as usize].push(RowId {
-                        block: block_no,
-                        row: i as u32,
-                    });
-                }
-                self.build_rows += codes.len();
-                Ok(())
+                d.codes_into(codes);
+                Ok(BlockKeys::Int(d.dict()))
             }
             ColumnCodec::Str(d) => {
-                if matches!(self.space, Some(KeySpace::Int(_))) {
-                    return Err(Error::TypeMismatch {
-                        expected: "str join key",
-                        found: "int join key",
-                    });
-                }
-                // String codes are first-occurrence-ordered
-                // (codes_are_ordered() == false), so nothing here compares
-                // codes across blocks — each distinct string is hashed
-                // once and rows ride on the remap.
-                let remap: Vec<u32> = (0..d.distinct())
-                    .map(|c| self.intern_str(d.pool().get(c)))
-                    .collect();
-                let mut codes = Vec::new();
-                d.codes_into(&mut codes);
-                for (i, &c) in codes.iter().enumerate() {
-                    self.rows_of[remap[c as usize] as usize].push(RowId {
-                        block: block_no,
-                        row: i as u32,
-                    });
-                }
-                self.build_rows += codes.len();
-                Ok(())
+                d.codes_into(codes);
+                Ok(BlockKeys::Str(d))
             }
             other => Err(Error::invalid(format!(
                 "join key '{key}' must be dictionary-encoded (got {})",
@@ -619,76 +488,206 @@ impl BuildTable {
         }
     }
 
-    /// Probes one block: resolves each *distinct* probe key against the
-    /// build table once (code→global-id remap), then streams the packed
-    /// codes emitting pairs in probe-row order.
-    pub(crate) fn probe_block<B: BlockView + ?Sized>(
-        &self,
+    fn len(&self) -> usize {
+        match self {
+            BlockKeys::Int(values) => values.len(),
+            BlockKeys::Str(d) => d.distinct(),
+        }
+    }
+}
+
+fn key_mismatch(expected_int: bool) -> Error {
+    let (int, str) = ("int join key", "str join key");
+    let (expected, found) = if expected_int { (int, str) } else { (str, int) };
+    Error::TypeMismatch { expected, found }
+}
+
+/// The build side of a dict-code hash join: a global key table plus, per
+/// key id, the build rows holding it (in `(block, row)` insertion order).
+/// Each block's *distinct* keys are hashed once (the code→global-id
+/// remap), after which per-row work is an array index. String codes are
+/// first-occurrence-ordered (`codes_are_ordered() == false`), so nothing
+/// compares codes across blocks.
+struct BuildTable {
+    space: Option<KeySpace>,
+    rows_of: Vec<Vec<RowId>>,
+    build_rows: usize,
+}
+
+impl BuildTable {
+    /// Adds one build block's rows under their global key ids.
+    fn add_block<B: BlockView + ?Sized>(
+        &mut self,
         block: &B,
         block_no: u32,
         key: &str,
-        pairs: &mut Vec<JoinPair>,
-    ) -> Result<usize> {
-        let idx = block.index_of(key)?;
-        let (remap, codes) = match block.view_codec(idx)? {
-            ColumnCodec::Int(IntEncoding::Dict(d)) => {
-                let remap: Vec<u32> = match &self.space {
-                    Some(KeySpace::Int(m)) => d
-                        .dict()
-                        .iter()
-                        .map(|v| m.get(v).copied().unwrap_or(MISS))
-                        .collect(),
-                    Some(KeySpace::Str(_)) => {
-                        return Err(Error::TypeMismatch {
-                            expected: "str join key",
-                            found: "int join key",
-                        })
+    ) -> Result<()> {
+        let mut codes = Vec::new();
+        let keys = BlockKeys::of(block, key, &mut codes)?;
+        if self.space.is_none() && keys.len() == 0 {
+            // A block without keys has no rows and does not fix the key type.
+            return Ok(());
+        }
+        let space = self.space.get_or_insert_with(|| match keys {
+            BlockKeys::Int(_) => KeySpace::Int(FxHashMap::default()),
+            BlockKeys::Str(_) => KeySpace::Str(FxHashMap::default()),
+        });
+        let rows_of = &mut self.rows_of;
+        let mut fresh = || {
+            rows_of.push(Vec::new());
+            rows_of.len() as u32 - 1
+        };
+        let remap: Vec<u32> = match (space, keys) {
+            (KeySpace::Int(m), BlockKeys::Int(values)) => values
+                .iter()
+                .map(|&v| *m.entry(v).or_insert_with(&mut fresh))
+                .collect(),
+            (KeySpace::Str(m), BlockKeys::Str(d)) => (0..d.distinct())
+                .map(|c| {
+                    let s = d.pool().get(c);
+                    match m.get(s) {
+                        Some(&id) => id,
+                        None => *m.entry(s.to_owned()).or_insert(fresh()),
                     }
-                    // Empty build side: shape-check only, nothing matches.
-                    None => vec![MISS; d.dict().len()],
-                };
-                let mut codes = Vec::new();
-                d.codes_into(&mut codes);
-                (remap, codes)
-            }
-            ColumnCodec::Str(d) => {
-                let remap: Vec<u32> = match &self.space {
-                    Some(KeySpace::Str(m)) => (0..d.distinct())
-                        .map(|c| m.get(d.pool().get(c)).copied().unwrap_or(MISS))
-                        .collect(),
-                    Some(KeySpace::Int(_)) => {
-                        return Err(Error::TypeMismatch {
-                            expected: "int join key",
-                            found: "str join key",
-                        })
-                    }
-                    None => vec![MISS; d.distinct()],
-                };
-                let mut codes = Vec::new();
-                d.codes_into(&mut codes);
-                (remap, codes)
-            }
-            other => {
-                return Err(Error::invalid(format!(
-                    "join key '{key}' must be dictionary-encoded (got {})",
-                    other.scheme()
-                )))
-            }
+                })
+                .collect(),
+            (_, keys) => return Err(key_mismatch(matches!(keys, BlockKeys::Int(_)))),
         };
         for (i, &c) in codes.iter().enumerate() {
-            let id = remap[c as usize];
-            if id != MISS {
-                let probe = RowId {
-                    block: block_no,
-                    row: i as u32,
-                };
-                for &build in &self.rows_of[id as usize] {
-                    pairs.push(JoinPair { build, probe });
-                }
-            }
+            self.rows_of[remap[c as usize] as usize].push(RowId {
+                block: block_no,
+                row: i as u32,
+            });
         }
-        Ok(codes.len())
+        self.build_rows += codes.len();
+        Ok(())
     }
+}
+
+/// Builds the key table over every block of `src`, serially: key ids are
+/// assigned in first-occurrence order.
+fn build_table<S: BlockSource + ?Sized>(src: &S, key: &str) -> Result<(BuildTable, ScanStats)> {
+    let mut table = BuildTable {
+        space: None,
+        rows_of: Vec::new(),
+        build_rows: 0,
+    };
+    let (_, io) = crate::morsel::drive_inline(src, |b| {
+        let view = src.view(b)?;
+        table.add_block(&view, b as u32, key)?;
+        Ok(((), BlockCost::ran::<S>(&view, false, 0)))
+    })?;
+    Ok((table, io))
+}
+
+/// One probe block resolved against the build table: per code, the build
+/// rows its key matches; the per-row codes; and the pairs they emit.
+struct Probed<'t> {
+    builds: Vec<&'t [RowId]>,
+    codes: Vec<u32>,
+    pairs: usize,
+}
+
+/// The probe kernel: resolves each *distinct* probe key against the
+/// build table once, then counts the block's pairs.
+fn probe_block<'t, S: BlockSource + ?Sized>(
+    src: &S,
+    block: usize,
+    table: &'t BuildTable,
+    key: &str,
+) -> Result<(Probed<'t>, BlockCost)> {
+    let view = src.view(block)?;
+    let mut codes = Vec::new();
+    let keys = BlockKeys::of(&view, key, &mut codes)?;
+    let rows_of = |id: Option<&u32>| id.map_or(&[][..], |&id| &table.rows_of[id as usize][..]);
+    let builds: Vec<&[RowId]> = match (&table.space, &keys) {
+        // Empty build side: shape-check only, nothing matches.
+        (None, _) => vec![&[]; keys.len()],
+        (Some(KeySpace::Int(m)), BlockKeys::Int(values)) => {
+            values.iter().map(|v| rows_of(m.get(v))).collect()
+        }
+        (Some(KeySpace::Str(m)), BlockKeys::Str(d)) => (0..d.distinct())
+            .map(|c| rows_of(m.get(d.pool().get(c))))
+            .collect(),
+        (Some(space), _) => return Err(key_mismatch(matches!(space, KeySpace::Int(_)))),
+    };
+    let pairs = codes.iter().map(|&c| builds[c as usize].len()).sum();
+    let cost = BlockCost::ran::<S>(&view, false, 0);
+    Ok((
+        Probed {
+            builds,
+            codes,
+            pairs,
+        },
+        cost,
+    ))
+}
+
+/// The join merge: sizes the pair list exactly from the per-block counts,
+/// then fills each probe block's slice (pairs in probe-row order) on
+/// `threads` morsel workers — no per-block lists to concatenate.
+fn join_result(
+    table: &BuildTable,
+    build_io: ScanStats,
+    (probed, probe_io): (Vec<Probed<'_>>, ScanStats),
+    threads: usize,
+) -> Result<(Vec<JoinPair>, JoinStats)> {
+    let mut pairs = vec![JoinPair::default(); probed.iter().map(|p| p.pairs).sum()];
+    let mut rest = pairs.as_mut_slice();
+    let slices: Vec<Mutex<&mut [JoinPair]>> = probed
+        .iter()
+        .map(|p| {
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(p.pairs);
+            rest = tail;
+            Mutex::new(out)
+        })
+        .collect();
+    crate::morsel::run(probed.len(), threads, |b| {
+        let mut out = slices[b].lock().expect("each slice is filled once");
+        let mut next = 0;
+        for (row, &c) in probed[b].codes.iter().enumerate() {
+            let probe = RowId {
+                block: b as u32,
+                row: row as u32,
+            };
+            let builds = probed[b].builds[c as usize];
+            for (slot, &build) in out[next..].iter_mut().zip(builds) {
+                *slot = JoinPair { build, probe };
+            }
+            next += builds.len();
+        }
+        Ok(())
+    })?;
+    drop(slices);
+    let mut io = build_io;
+    io.absorb(&probe_io);
+    let stats = JoinStats {
+        build_rows: table.build_rows,
+        probe_rows: probed.iter().map(|p| p.codes.len()).sum(),
+        distinct_keys: table.rows_of.len(),
+        pairs: pairs.len(),
+        io,
+    };
+    Ok((pairs, stats))
+}
+
+/// Dict-code hash join of `build` against `probe`, with probe blocks on
+/// `threads` morsel workers.
+pub(crate) fn hash_join_source<S1, S2>(
+    build: &S1,
+    probe: &S2,
+    expr: &JoinExpr,
+    threads: usize,
+) -> Result<(Vec<JoinPair>, JoinStats)>
+where
+    S1: BlockSource + ?Sized,
+    S2: BlockSource + Sync + ?Sized,
+{
+    let (table, build_io) = build_table(build, &expr.build_key)?;
+    let probed = crate::morsel::drive(probe, threads, |b| {
+        probe_block(probe, b, &table, &expr.probe_key)
+    })?;
+    join_result(&table, build_io, probed, threads)
 }
 
 /// Serial dict-code hash join: builds over `build`, probes over `probe`.
@@ -707,27 +706,17 @@ pub fn hash_join_blocks<B1: BlockView, B2: BlockView>(
     probe: &[B2],
     expr: &JoinExpr,
 ) -> Result<(Vec<JoinPair>, JoinStats)> {
-    let mut table = BuildTable::new();
-    for (b, block) in build.iter().enumerate() {
-        table.add_block(block, b as u32, &expr.build_key)?;
-    }
-    let mut pairs = Vec::new();
-    let mut stats = JoinStats {
-        build_rows: table.build_rows(),
-        distinct_keys: table.distinct(),
-        ..JoinStats::default()
-    };
-    for (b, block) in probe.iter().enumerate() {
-        stats.probe_rows += table.probe_block(block, b as u32, &expr.probe_key, &mut pairs)?;
-    }
-    stats.pairs = pairs.len();
-    Ok((pairs, stats))
+    // `B2` need not be `Sync`, so the probe takes the executor's inline path.
+    let (table, build_io) = build_table(build, &expr.build_key)?;
+    let probed =
+        crate::morsel::drive_inline(probe, |b| probe_block(probe, b, &table, &expr.probe_key))?;
+    join_result(&table, build_io, probed, 1)
 }
 
-/// Morsel-parallel probe: the build phase stays serial (key-table ids are
-/// assigned in first-occurrence order), probe blocks fan out to workers,
-/// and per-block pair lists concatenate in block order — bit-identical to
-/// [`hash_join_blocks`] for any `threads`.
+/// [`hash_join_blocks`] with probe blocks on `threads` morsel workers: the
+/// build stays serial (key-table ids are assigned in first-occurrence
+/// order) and per-block pair lists concatenate in block order —
+/// bit-identical to [`hash_join_blocks`] for any `threads`.
 ///
 /// # Errors
 ///
@@ -739,59 +728,7 @@ pub fn hash_join_blocks_parallel<B1: BlockView, B2: BlockView + Sync>(
     expr: &JoinExpr,
     threads: usize,
 ) -> Result<(Vec<JoinPair>, JoinStats)> {
-    let n = probe.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return hash_join_blocks(build, probe, expr);
-    }
-    let mut table = BuildTable::new();
-    for (b, block) in build.iter().enumerate() {
-        table.add_block(block, b as u32, &expr.build_key)?;
-    }
-    let table = &table;
-    let next = AtomicUsize::new(0);
-    type Slot = Mutex<Option<Result<(Vec<JoinPair>, usize)>>>;
-    let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-    let panicked = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= n {
-                        break;
-                    }
-                    let out = (|| {
-                        let mut pairs = Vec::new();
-                        let rows =
-                            table.probe_block(&probe[b], b as u32, &expr.probe_key, &mut pairs)?;
-                        Ok((pairs, rows))
-                    })();
-                    *slots[b].lock().unwrap() = Some(out);
-                })
-            })
-            .collect();
-        workers.into_iter().any(|w| w.join().is_err())
-    });
-    if panicked {
-        return Err(Error::invalid("parallel join worker panicked"));
-    }
-    let mut pairs = Vec::new();
-    let mut stats = JoinStats {
-        build_rows: table.build_rows(),
-        distinct_keys: table.distinct(),
-        ..JoinStats::default()
-    };
-    for slot in &slots {
-        let (mut block_pairs, rows) = slot
-            .lock()
-            .unwrap()
-            .take()
-            .expect("every probe slot visited")?;
-        stats.probe_rows += rows;
-        pairs.append(&mut block_pairs);
-    }
-    stats.pairs = pairs.len();
-    Ok((pairs, stats))
+    hash_join_source(build, probe, expr, threads)
 }
 
 /// Late materialization for an arbitrary row-id list: `fetch` is called
@@ -830,34 +767,44 @@ where
         debug_assert_eq!(outs.len(), columns.len());
         fetched.insert(block, outs);
     }
-    let mut result = Vec::with_capacity(columns.len());
-    for ci in 0..columns.len() {
-        let is_str = fetched
-            .values()
-            .next()
-            .map(|outs| matches!(outs[ci], QueryOutput::Str(_)))
-            .unwrap_or(false);
-        if is_str {
-            let mut out = Vec::with_capacity(ids.len());
-            for id in ids {
-                let j = by_block[&id.block]
-                    .binary_search(&id.row)
-                    .expect("id grouped above");
-                out.push(fetched[&id.block][ci].as_str_rows()?[j].clone());
-            }
-            result.push(QueryOutput::Str(out));
-        } else {
-            let mut out = Vec::with_capacity(ids.len());
-            for id in ids {
-                let j = by_block[&id.block]
-                    .binary_search(&id.row)
-                    .expect("id grouped above");
-                out.push(fetched[&id.block][ci].as_int()?[j]);
-            }
-            result.push(QueryOutput::Int(out));
-        }
-    }
-    Ok(result)
+    (0..columns.len())
+        .map(|ci| {
+            // Each id's block output for column `ci`, and its slot in it.
+            let at = |id: &RowId| {
+                let j = by_block[&id.block].binary_search(&id.row);
+                (&fetched[&id.block][ci], j.expect("id grouped above"))
+            };
+            let is_str = fetched
+                .values()
+                .next()
+                .is_some_and(|outs| matches!(outs[ci], QueryOutput::Str(_)));
+            Ok(if is_str {
+                let rows = ids.iter().map(|id| {
+                    let (out, j) = at(id);
+                    Ok(out.as_str_rows()?[j].clone())
+                });
+                QueryOutput::Str(rows.collect::<Result<_>>()?)
+            } else {
+                let rows = ids.iter().map(|id| {
+                    let (out, j) = at(id);
+                    Ok(out.as_int()?[j])
+                });
+                QueryOutput::Int(rows.collect::<Result<_>>()?)
+            })
+        })
+        .collect()
+}
+
+/// [`gather_rows_with`] over any source: one view per touched block.
+pub(crate) fn gather_source<S: BlockSource + ?Sized>(
+    src: &S,
+    ids: &[RowId],
+    columns: &[&str],
+) -> Result<Vec<QueryOutput>> {
+    gather_rows_with(ids, columns, |block, sel, cols| {
+        let view = src.view(block as usize)?;
+        cols.iter().map(|c| query_column(&view, c, sel)).collect()
+    })
 }
 
 /// [`gather_rows_with`] over in-memory blocks.
@@ -870,12 +817,7 @@ pub fn gather_rows<B: BlockView>(
     ids: &[RowId],
     columns: &[&str],
 ) -> Result<Vec<QueryOutput>> {
-    gather_rows_with(ids, columns, |b, sel, cols| {
-        let block = blocks
-            .get(b as usize)
-            .ok_or_else(|| Error::invalid(format!("row id references unknown block {b}")))?;
-        cols.iter().map(|c| query_column(block, c, sel)).collect()
-    })
+    gather_source(blocks, ids, columns)
 }
 
 /// Materializes payload `columns` for TOP-K winners, aligned with `rows`.

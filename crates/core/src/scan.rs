@@ -19,11 +19,10 @@
 //!    produced selection into the existing [`crate::query`] kernels, so
 //!    filter → materialize runs end to end on compressed data.
 //!
-//! Multi-block scans also come in a morsel-parallel flavor
-//! ([`scan_blocks_parallel`] / [`query_parallel`]): scoped workers pull
-//! block morsels off an atomic counter and write into indexed result
-//! slots, so output order (and every [`SelectionVector`]) is byte-identical
-//! to the serial path.
+//! Multi-block scans run one per-block kernel over any
+//! [`BlockSource`] on the [`crate::morsel::run`] executor
+//! ([`scan_blocks_parallel`] / [`query_parallel`]), so output order (and
+//! every [`SelectionVector`]) is byte-identical for any thread count.
 
 use corra_columnar::error::{Error, Result};
 use corra_columnar::predicate::{IntRange, RangeVerdict};
@@ -32,6 +31,7 @@ use corra_columnar::stats::ZoneMap;
 use corra_encodings::FilterInt;
 
 use crate::compressor::{BlockView, ColumnCodec, CompressedBlock};
+use crate::morsel::{BlockCost, BlockSource};
 use crate::query::{code_access, eval_formula_mask, int_column, IntColumn, QueryOutput};
 
 /// A comparison operator of a scan predicate.
@@ -348,43 +348,73 @@ pub fn scan_pruned<B: BlockView + ?Sized>(
     Ok((sel, !ran_kernel))
 }
 
-/// Checks every referenced column exists and its codec matches the
-/// predicate's operand type. Shared with the aggregate engine, which
-/// validates its optional filter the same way before any kernel runs.
-pub(crate) fn validate_pred<B: BlockView + ?Sized>(block: &B, pred: &Predicate) -> Result<()> {
+/// Checks every column `pred` names exists and has the operand's type.
+/// `is_string` resolves a column from its codec or from its footer
+/// header, so in-memory blocks and footers validate alike; the aggregate
+/// and TOP-K engines validate their filters the same way.
+pub(crate) fn check_pred(pred: &Predicate, is_string: &dyn Fn(&str) -> Result<bool>) -> Result<()> {
     match pred {
         Predicate::Compare { column, .. } | Predicate::Between { column, .. } => {
-            let idx = block.index_of(column)?;
-            match block.view_codec(idx)? {
-                ColumnCodec::Str(_) | ColumnCodec::PlainStr(_) | ColumnCodec::HierStr { .. } => {
-                    Err(Error::TypeMismatch {
-                        expected: "integer column for integer predicate",
-                        found: "string column",
-                    })
-                }
-                _ => Ok(()),
-            }
-        }
-        Predicate::StrEq { column, .. } => {
-            let idx = block.index_of(column)?;
-            match block.view_codec(idx)? {
-                ColumnCodec::Str(_) | ColumnCodec::PlainStr(_) | ColumnCodec::HierStr { .. } => {
-                    Ok(())
-                }
-                _ => Err(Error::TypeMismatch {
-                    expected: "string column for string predicate",
-                    found: "integer column",
-                }),
-            }
-        }
-        Predicate::And(children) | Predicate::Or(children) => {
-            for child in children {
-                validate_pred(block, child)?;
+            if is_string(column)? {
+                return Err(Error::TypeMismatch {
+                    expected: "integer column for integer predicate",
+                    found: "string column",
+                });
             }
             Ok(())
         }
-        Predicate::Not(child) => validate_pred(block, child),
+        Predicate::StrEq { column, .. } => {
+            if !is_string(column)? {
+                return Err(Error::TypeMismatch {
+                    expected: "string column for string predicate",
+                    found: "integer column",
+                });
+            }
+            Ok(())
+        }
+        Predicate::And(children) | Predicate::Or(children) => {
+            children.iter().try_for_each(|c| check_pred(c, is_string))
+        }
+        Predicate::Not(child) => check_pred(child, is_string),
     }
+}
+
+/// [`check_pred`] against one block's codecs.
+pub(crate) fn validate_pred<B: BlockView + ?Sized>(block: &B, pred: &Predicate) -> Result<()> {
+    check_pred(pred, &|c| {
+        Ok(block.view_codec(block.index_of(c)?)?.is_string())
+    })
+}
+
+/// The scan kernel: one block's selection. A block with a footer is first
+/// decided from its zone maps, reading no payload byte when they prove it
+/// empty or fully covered.
+pub(crate) fn scan_block<S: BlockSource + ?Sized>(
+    src: &S,
+    block: usize,
+    pred: &Predicate,
+) -> Result<(SelectionVector, BlockCost)> {
+    if let Some(footer) = src.footer(block) {
+        let rows = footer.rows();
+        match footer.verdict(pred)? {
+            RangeVerdict::None => return Ok((SelectionVector::empty(), BlockCost::footer(0))),
+            RangeVerdict::All => return Ok((SelectionVector::all(rows), BlockCost::footer(rows))),
+            RangeVerdict::Partial => {}
+        }
+    }
+    let view = src.view(block)?;
+    let (sel, pruned) = scan_pruned(&view, pred)?;
+    let cost = BlockCost::ran::<S>(&view, pruned, sel.len());
+    Ok((sel, cost))
+}
+
+/// Scans every block of `src` on `threads` morsel workers.
+pub(crate) fn scan_source<S: BlockSource + Sync + ?Sized>(
+    src: &S,
+    pred: &Predicate,
+    threads: usize,
+) -> Result<(Vec<SelectionVector>, ScanStats)> {
+    crate::morsel::drive(src, threads, |b| scan_block(src, b, pred))
 }
 
 /// Scans every block, returning per-block selections plus aggregate stats.
@@ -392,26 +422,10 @@ pub fn scan_blocks(
     blocks: &[CompressedBlock],
     pred: &Predicate,
 ) -> Result<(Vec<SelectionVector>, ScanStats)> {
-    let mut stats = ScanStats::default();
-    let mut selections = Vec::with_capacity(blocks.len());
-    for block in blocks {
-        let (sel, pruned) = scan_pruned(block, pred)?;
-        stats.blocks += 1;
-        stats.blocks_pruned += usize::from(pruned);
-        stats.rows_total += block.rows();
-        stats.rows_matched += sel.len();
-        selections.push(sel);
-    }
-    Ok((selections, stats))
+    scan_source(blocks, pred, 1)
 }
 
-/// One indexed result slot per block: workers write each block's outcome
-/// into its own slot, which is what makes parallel output order (and
-/// content) identical to the serial path.
-type ResultSlots<T> = Vec<std::sync::Mutex<Option<Result<T>>>>;
-
-/// Morsel-driven parallel [`scan_blocks`]: `threads` scoped workers pull
-/// block-granularity morsels off a shared atomic counter (blocks are
+/// [`scan_blocks`] on `threads` morsel workers (blocks are
 /// self-contained, mirroring [`crate::compressor::compress_blocks`]).
 ///
 /// Output is deterministic: per-block selections land in indexed slots, so
@@ -422,52 +436,13 @@ pub fn scan_blocks_parallel(
     pred: &Predicate,
     threads: usize,
 ) -> Result<(Vec<SelectionVector>, ScanStats)> {
-    let threads = threads.max(1).min(blocks.len().max(1));
-    if threads <= 1 || blocks.len() <= 1 {
-        return scan_blocks(blocks, pred);
-    }
-    let slots: ResultSlots<(SelectionVector, bool)> = (0..blocks.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let panicked = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= blocks.len() {
-                        break;
-                    }
-                    let scanned = scan_pruned(&blocks[i], pred);
-                    *slots[i].lock().expect("scan slot poisoned") = Some(scanned);
-                })
-            })
-            .collect();
-        workers.into_iter().any(|w| w.join().is_err())
-    });
-    if panicked {
-        return Err(Error::invalid("parallel scan worker panicked"));
-    }
-    let mut stats = ScanStats::default();
-    let mut selections = Vec::with_capacity(blocks.len());
-    for (slot, block) in slots.into_iter().zip(blocks) {
-        let (sel, pruned) = slot
-            .into_inner()
-            .expect("scan slot poisoned")
-            .expect("every block visited")?;
-        stats.blocks += 1;
-        stats.blocks_pruned += usize::from(pruned);
-        stats.rows_total += block.rows();
-        stats.rows_matched += sel.len();
-        selections.push(sel);
-    }
-    Ok((selections, stats))
+    scan_source(blocks, pred, threads)
 }
 
 /// Morsel-driven parallel materialization: runs
 /// [`crate::query::query_column`] for `column` against every
-/// `(block, selection)` pair with `threads` scoped workers. Outputs land in
-/// indexed slots, so the result order matches the serial loop exactly.
+/// `(block, selection)` pair on `threads` workers; the result order
+/// matches the serial loop exactly.
 ///
 /// # Errors
 ///
@@ -485,72 +460,9 @@ pub fn query_parallel(
             right: selections.len(),
         });
     }
-    let threads = threads.max(1).min(blocks.len().max(1));
-    if threads <= 1 || blocks.len() <= 1 {
-        return blocks
-            .iter()
-            .zip(selections)
-            .map(|(b, sel)| crate::query::query_column(b, column, sel))
-            .collect();
-    }
-    let slots: ResultSlots<QueryOutput> = (0..blocks.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let panicked = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= blocks.len() {
-                        break;
-                    }
-                    let out = crate::query::query_column(&blocks[i], column, &selections[i]);
-                    *slots[i].lock().expect("query slot poisoned") = Some(out);
-                })
-            })
-            .collect();
-        workers.into_iter().any(|w| w.join().is_err())
-    });
-    if panicked {
-        return Err(Error::invalid("parallel query worker panicked"));
-    }
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("query slot poisoned")
-                .expect("every block visited")
-        })
-        .collect()
-}
-
-/// What a filter → materialize call should project.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Projection<'a> {
-    /// Materialize one column.
-    Column(&'a str),
-    /// Materialize a diff-encoded target and its reference column.
-    Both(&'a str),
-}
-
-/// The one filter → materialize path: scans for `pred`, then feeds the
-/// selection into the query kernels. [`scan_query`], [`scan_query_both`]
-/// and the [`crate::store::TableReader`] query entry points all route
-/// through here.
-pub(crate) fn scan_materialize<B: BlockView + ?Sized>(
-    block: &B,
-    pred: &Predicate,
-    projection: Projection<'_>,
-) -> Result<(QueryOutput, Option<QueryOutput>)> {
-    let sel = scan(block, pred)?;
-    match projection {
-        Projection::Column(name) => Ok((crate::query::query_column(block, name, &sel)?, None)),
-        Projection::Both(name) => {
-            let (target, reference) = crate::query::query_both(block, name, &sel)?;
-            Ok((target, Some(reference)))
-        }
-    }
+    crate::morsel::run(blocks.len(), threads, |i| {
+        crate::query::query_column(&blocks[i], column, &selections[i])
+    })
 }
 
 /// Filter → materialize in one call: scans for `pred` and materializes
@@ -560,7 +472,7 @@ pub fn scan_query<B: BlockView + ?Sized>(
     pred: &Predicate,
     project: &str,
 ) -> Result<QueryOutput> {
-    Ok(scan_materialize(block, pred, Projection::Column(project))?.0)
+    crate::query::query_column(block, project, &scan(block, pred)?)
 }
 
 /// Filter → materialize for a diff-encoded target *and* its reference
@@ -570,11 +482,7 @@ pub fn scan_query_both<B: BlockView + ?Sized>(
     pred: &Predicate,
     target: &str,
 ) -> Result<(QueryOutput, QueryOutput)> {
-    let (target, reference) = scan_materialize(block, pred, Projection::Both(target))?;
-    Ok((
-        target,
-        reference.expect("Both projection returns a reference"),
-    ))
+    crate::query::query_both(block, target, &scan(block, pred)?)
 }
 
 /// Returns `(selection, ran_kernel)`; `ran_kernel` is false when the result

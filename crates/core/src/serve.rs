@@ -4,13 +4,11 @@
 //! A [`ServeSession`] wraps an `Arc<TableReader>` — typically one carrying
 //! a [`ShardedCache`](crate::cache::ShardedCache) via
 //! [`TableReader::with_cache`] — and executes a batch of
-//! [`ServeRequest`]s. With `threads > 1`, workers pull request indices off
-//! an atomic counter (the same morsel pattern as the parallel scan
-//! drivers) and write into indexed slots, so the returned results are
-//! **byte-identical to a serial run for any thread count**; only the
-//! latency distribution changes. Per-request wall latencies are recorded
-//! for p50/p99 reporting, and the scan/aggregate byte + cache counters are
-//! folded into one [`ScanStats`].
+//! [`ServeRequest`]s on the [`crate::morsel::run`] executor, one request
+//! per morsel, so the returned results are **byte-identical to a serial
+//! run for any thread count**; only the latency distribution changes.
+//! Per-request wall latencies are recorded for p50/p99 reporting, and the
+//! scan/aggregate byte + cache counters are folded into one [`ScanStats`].
 //!
 //! ```no_run
 //! # use std::sync::Arc;
@@ -31,92 +29,19 @@
 //! # }
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use corra_columnar::column::Column;
-use corra_columnar::error::{Error, Result};
+use corra_columnar::error::Result;
 use corra_columnar::selection::SelectionVector;
 
 use crate::aggregate::{AggExpr, AggResult};
+use crate::compressor::{decompress_column, BlockView};
+use crate::morsel::BlockSource;
 use crate::operator::{TopKExpr, TopKRow};
 use crate::scan::{Predicate, ScanStats};
-use crate::store::{BlockHandle, SegmentedTable, TableReader};
-
-/// What a [`ServeSession`] serves from: any table-shaped source that can
-/// hand out block handles and run whole-table scans and aggregates.
-/// Implemented by the single-file [`TableReader`] and the multi-segment
-/// [`SegmentedTable`], so the front door is indifferent to whether the
-/// table is one immutable file or an ingest directory's current
-/// manifest.
-pub trait ServeSource: Send + Sync {
-    /// A lazy handle on one block (global block index for multi-segment
-    /// sources).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range block index; I/O failures.
-    fn block_handle(&self, block: usize) -> Result<BlockHandle<'_>>;
-
-    /// Predicate scan over every block (zone-map pruning included).
-    ///
-    /// # Errors
-    ///
-    /// Unknown columns; decode or I/O failures.
-    fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)>;
-
-    /// Aggregate over every block (zone short-circuits included).
-    ///
-    /// # Errors
-    ///
-    /// Unknown columns; decode or I/O failures.
-    fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)>;
-
-    /// TOP-K / ORDER BY over every block (zone-map pruning against the
-    /// running k-th bound included).
-    ///
-    /// # Errors
-    ///
-    /// Unknown or non-integer target column; decode or I/O failures.
-    fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)>;
-}
-
-impl ServeSource for TableReader {
-    fn block_handle(&self, block: usize) -> Result<BlockHandle<'_>> {
-        TableReader::block_handle(self, block)
-    }
-
-    fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        TableReader::scan_blocks(self, pred)
-    }
-
-    fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)> {
-        TableReader::aggregate(self, expr)
-    }
-
-    fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        TableReader::top_k(self, expr)
-    }
-}
-
-impl ServeSource for SegmentedTable {
-    fn block_handle(&self, block: usize) -> Result<BlockHandle<'_>> {
-        SegmentedTable::block_handle(self, block)
-    }
-
-    fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        SegmentedTable::scan_blocks(self, pred)
-    }
-
-    fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)> {
-        SegmentedTable::aggregate(self, expr)
-    }
-
-    fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        SegmentedTable::top_k(self, expr)
-    }
-}
+use crate::store::TableReader;
 
 /// One unit of serving traffic.
 #[derive(Debug, Clone)]
@@ -203,14 +128,15 @@ pub fn percentile(samples: &[Duration], p: f64) -> Duration {
     sorted[rank]
 }
 
-/// A serving endpoint over one shared source (a single-file
-/// [`TableReader`] by default, or any other [`ServeSource`] such as a
-/// [`SegmentedTable`]). See the [module docs](self).
-pub struct ServeSession<S: ServeSource = TableReader> {
+/// A serving endpoint over one shared [`BlockSource`] — a single-file
+/// [`TableReader`] by default, or a
+/// [`SegmentedTable`](crate::store::SegmentedTable). See the
+/// [module docs](self).
+pub struct ServeSession<S: BlockSource + ?Sized = TableReader> {
     reader: Arc<S>,
 }
 
-impl<S: ServeSource> Clone for ServeSession<S> {
+impl<S: BlockSource + ?Sized> Clone for ServeSession<S> {
     fn clone(&self) -> Self {
         Self {
             reader: Arc::clone(&self.reader),
@@ -218,7 +144,7 @@ impl<S: ServeSource> Clone for ServeSession<S> {
     }
 }
 
-impl<S: ServeSource> ServeSession<S> {
+impl<S: BlockSource + Send + Sync + ?Sized> ServeSession<S> {
     /// Wraps a shared source (attach a cache to it first — e.g.
     /// [`TableReader::with_cache`] — to make repeated traffic cheap).
     #[must_use]
@@ -234,92 +160,59 @@ impl<S: ServeSource> ServeSession<S> {
 
     /// Executes one request, returning its result and cost counters.
     fn execute(&self, request: &ServeRequest) -> Result<(ServeResult, ScanStats)> {
+        let src = &*self.reader;
         match request {
             ServeRequest::Point { block, column } => {
-                let handle = self.reader.block_handle(*block)?;
-                let values = handle.decompress(column)?;
+                let view = src.view(*block)?;
+                let values = decompress_column(&view, view.index_of(column)?)?;
+                let cost = S::load_cost(&view);
                 let stats = ScanStats {
-                    bytes_read: handle.loaded_bytes(),
-                    cache_hits: handle.cache_hits(),
-                    cache_misses: handle.cache_misses(),
-                    segments_opened: 1,
+                    bytes_read: cost.bytes,
+                    cache_hits: cost.cache_hits,
+                    cache_misses: cost.cache_misses,
+                    segments_opened: src.segments_opened().min(1),
                     ..ScanStats::default()
                 };
                 Ok((ServeResult::Column(values), stats))
             }
             ServeRequest::Scan(pred) => {
-                let (sels, stats) = self.reader.scan_blocks(pred)?;
+                let (sels, stats) = crate::scan::scan_source(src, pred, 1)?;
                 Ok((ServeResult::Scan(sels), stats))
             }
             ServeRequest::Aggregate(expr) => {
-                let (agg, stats) = self.reader.aggregate(expr)?;
+                let (agg, stats) = crate::aggregate::aggregate_source(src, expr, 1)?;
                 Ok((ServeResult::Aggregate(agg), stats))
             }
             ServeRequest::TopK(expr) => {
-                let (rows, stats) = self.reader.top_k(expr)?;
+                let (rows, stats) = crate::operator::top_k_source(src, expr, 1)?;
                 Ok((ServeResult::TopK(rows), stats))
             }
         }
     }
 
-    /// Runs the whole batch from `threads` workers, returning results in
-    /// request order (byte-identical to `threads == 1`).
+    /// Runs the whole batch on `threads` morsel workers (one request per
+    /// morsel), returning results in request order (byte-identical to
+    /// `threads == 1`).
     ///
     /// # Errors
     ///
     /// The first failing request's error (in request order); worker panics
     /// surface as errors.
     pub fn run(&self, requests: &[ServeRequest], threads: usize) -> Result<ServeOutcome> {
-        type Served = Option<Result<(ServeResult, ScanStats, Duration)>>;
-        let n = requests.len();
-        let threads = threads.max(1).min(n.max(1));
         let start = Instant::now();
-        let mut slots: Vec<Served> = if threads <= 1 {
-            requests
-                .iter()
-                .map(|req| {
-                    let t = Instant::now();
-                    Some(self.execute(req).map(|(r, s)| (r, s, t.elapsed())))
-                })
-                .collect()
-        } else {
-            let slots: Vec<Mutex<Served>> = (0..n).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            let panicked = std::thread::scope(|s| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|_| {
-                        s.spawn(|| loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let t = Instant::now();
-                            let served =
-                                self.execute(&requests[i]).map(|(r, s)| (r, s, t.elapsed()));
-                            *slots[i].lock().expect("serve slot poisoned") = Some(served);
-                        })
-                    })
-                    .collect();
-                workers.into_iter().any(|w| w.join().is_err())
-            });
-            if panicked {
-                return Err(Error::invalid("serve worker panicked"));
-            }
-            slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("serve slot poisoned"))
-                .collect()
-        };
+        let served = crate::morsel::run(requests.len(), threads, |i| {
+            let t = Instant::now();
+            let (result, stats) = self.execute(&requests[i])?;
+            Ok((result, stats, t.elapsed()))
+        })?;
         let wall = start.elapsed();
-        let mut results = Vec::with_capacity(n);
-        let mut latencies = Vec::with_capacity(n);
+        let mut results = Vec::with_capacity(served.len());
+        let mut latencies = Vec::with_capacity(served.len());
         let mut stats = ScanStats::default();
-        for slot in slots.iter_mut() {
-            let (result, req_stats, latency) =
-                slot.take().expect("every request visited by a worker")?;
+        for (result, req_stats, latency) in served {
             results.push(result);
             latencies.push(latency);
-            merge(&mut stats, &req_stats);
+            stats.absorb(&req_stats);
         }
         Ok(ServeOutcome {
             results,
@@ -328,10 +221,6 @@ impl<S: ServeSource> ServeSession<S> {
             wall,
         })
     }
-}
-
-fn merge(into: &mut ScanStats, from: &ScanStats) {
-    into.absorb(from);
 }
 
 #[cfg(test)]

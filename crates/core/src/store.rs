@@ -40,10 +40,10 @@
 //! All reads go through the pluggable [`IoBackend`] seam (see
 //! [`crate::io`]), which is also where the torture harness injects faults.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::io::{Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 use corra_columnar::column::{Column, DataType};
@@ -53,23 +53,15 @@ use corra_columnar::schema::{Field, Schema};
 use corra_columnar::selection::SelectionVector;
 use corra_columnar::stats::ZoneMap;
 
-use crate::aggregate::{
-    aggregate_partial, exact_column_bounds, AggExpr, AggFunc, AggMerger, AggResult, PartialAgg,
-};
+use crate::aggregate::{exact_column_bounds, AggExpr, AggResult};
 use crate::cache::{next_table_id, CacheKey, CacheValue, ShardedCache};
 use crate::compressor::{decompress_column, BlockView, ColumnCodec, CompressedBlock};
 use crate::format::{read_codec_payload, CodecHeader, PayloadSpan};
 use crate::io::{checksum64, read_full_at, FileBackend, IoBackend, MemBackend};
-use crate::operator::{
-    top_k_block, zone_skips_topk, JoinExpr, JoinPair, JoinStats, RowId, TopKBound, TopKExpr,
-    TopKRow,
-};
+use crate::morsel::{BlockSource, LoadCost};
+use crate::operator::{JoinExpr, JoinPair, JoinStats, RowId, TopKExpr, TopKRow};
 use crate::query::QueryOutput;
-use crate::scan::{
-    column_bounds, scan_materialize, scan_pruned, tree_verdict, Predicate, Projection, ScanStats,
-};
-use corra_columnar::aggregate::{IntAggState, StrAggState};
-use corra_columnar::topk::TopKHeap;
+use crate::scan::{check_pred, column_bounds, tree_verdict, Predicate, ScanStats};
 
 /// File magic framing a Corra table (leading and trailing).
 pub const TABLE_MAGIC: [u8; 8] = *b"CORRATBL";
@@ -584,15 +576,6 @@ pub struct TableReader {
     cache: Option<(Arc<ShardedCache>, u64)>,
 }
 
-/// What one footer-addressed payload load cost: bytes fetched from the
-/// backend, and whether an attached cache answered it.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LoadCost {
-    bytes: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-}
-
 impl TableReader {
     /// Opens a table file from disk.
     ///
@@ -796,9 +779,7 @@ impl TableReader {
             block,
             rows: meta.rows as usize,
             cells: (0..meta.columns.len()).map(|_| OnceCell::new()).collect(),
-            loaded_bytes: std::cell::Cell::new(0),
-            cache_hits: std::cell::Cell::new(0),
-            cache_misses: std::cell::Cell::new(0),
+            cost: Cell::default(),
         })
     }
 
@@ -880,79 +861,13 @@ impl TableReader {
         Ok((codec, false))
     }
 
-    /// Index of `name` in the footer schema.
-    fn col_index(&self, name: &str) -> Result<usize> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .ok_or_else(|| Error::ColumnNotFound(name.to_owned()))
-    }
-
-    /// Validates `pred` against footer metadata alone (names + codec
-    /// tags), mirroring the in-memory up-front validation so pruned scans
-    /// report the same errors as kernel scans.
-    fn validate_pred_footer(&self, meta: &BlockMeta, pred: &Predicate) -> Result<()> {
-        match pred {
-            Predicate::Compare { column, .. } | Predicate::Between { column, .. } => {
-                let idx = self.col_index(column)?;
-                if meta.columns[idx].header.is_string() {
-                    return Err(Error::TypeMismatch {
-                        expected: "integer column for integer predicate",
-                        found: "string column",
-                    });
-                }
-                Ok(())
-            }
-            Predicate::StrEq { column, .. } => {
-                let idx = self.col_index(column)?;
-                if !meta.columns[idx].header.is_string() {
-                    return Err(Error::TypeMismatch {
-                        expected: "string column for string predicate",
-                        found: "integer column",
-                    });
-                }
-                Ok(())
-            }
-            Predicate::And(children) | Predicate::Or(children) => children
-                .iter()
-                .try_for_each(|c| self.validate_pred_footer(meta, c)),
-            Predicate::Not(child) => self.validate_pred_footer(meta, child),
-        }
-    }
-
-    /// Scans one block, consulting footer zone maps before touching any
-    /// bytes. Returns `(selection, pruned, skipped_io, load_cost)`.
-    fn scan_block_inner(
-        &self,
-        block: usize,
-        pred: &Predicate,
-    ) -> Result<(SelectionVector, bool, bool, LoadCost)> {
-        let meta = self.block_meta(block)?;
-        self.validate_pred_footer(meta, pred)?;
-        let rows = meta.rows as usize;
-        if rows == 0 {
-            return Ok((SelectionVector::empty(), true, true, LoadCost::default()));
-        }
-        let zone_of =
-            |name: &str| -> Option<ZoneMap> { meta.columns[self.col_index(name).ok()?].zone };
-        match tree_verdict(pred, &zone_of) {
-            RangeVerdict::None => Ok((SelectionVector::empty(), true, true, LoadCost::default())),
-            RangeVerdict::All => Ok((SelectionVector::all(rows), true, true, LoadCost::default())),
-            RangeVerdict::Partial => {
-                let handle = self.block_handle(block)?;
-                let (sel, pruned) = scan_pruned(&handle, pred)?;
-                Ok((sel, pruned, false, handle.load_cost()))
-            }
-        }
-    }
-
     /// Evaluates `pred` against one block (footer pruning included).
     ///
     /// # Errors
     ///
     /// Unknown columns, predicate/codec type mismatches, I/O errors.
     pub fn scan(&self, block: usize, pred: &Predicate) -> Result<SelectionVector> {
-        Ok(self.scan_block_inner(block, pred)?.0)
+        Ok(crate::scan::scan_block(self, block, pred)?.0)
     }
 
     /// Scans every block, never touching the bytes of blocks the footer
@@ -963,23 +878,11 @@ impl TableReader {
     ///
     /// As [`scan`](Self::scan).
     pub fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        let mut stats = ScanStats {
-            segments_opened: 1,
-            ..ScanStats::default()
-        };
-        let mut selections = Vec::with_capacity(self.n_blocks());
-        for i in 0..self.n_blocks() {
-            let (sel, pruned, skipped, cost) = self.scan_block_inner(i, pred)?;
-            self.merge_stats(&mut stats, i, &sel, pruned, skipped, cost);
-            selections.push(sel);
-        }
-        Ok((selections, stats))
+        crate::scan::scan_source(self, pred, 1)
     }
 
-    /// Morsel-parallel [`scan_blocks`](Self::scan_blocks): `threads` scoped
-    /// workers pull block indices off an atomic counter and write into
-    /// indexed slots, so selections and stats are identical to the serial
-    /// store scan for any thread count.
+    /// [`scan_blocks`](Self::scan_blocks) on `threads` morsel workers;
+    /// selections and stats are identical for any thread count.
     ///
     /// # Errors
     ///
@@ -989,213 +892,7 @@ impl TableReader {
         pred: &Predicate,
         threads: usize,
     ) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        let n = self.n_blocks();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || n <= 1 {
-            return self.scan_blocks(pred);
-        }
-        type Slot = Mutex<Option<Result<(SelectionVector, bool, bool, LoadCost)>>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let panicked = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let scanned = self.scan_block_inner(i, pred);
-                        *slots[i].lock().expect("scan slot poisoned") = Some(scanned);
-                    })
-                })
-                .collect();
-            workers.into_iter().any(|w| w.join().is_err())
-        });
-        if panicked {
-            return Err(Error::invalid("parallel store scan worker panicked"));
-        }
-        let mut stats = ScanStats {
-            segments_opened: 1,
-            ..ScanStats::default()
-        };
-        let mut selections = Vec::with_capacity(n);
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (sel, pruned, skipped, cost) = slot
-                .into_inner()
-                .expect("scan slot poisoned")
-                .expect("every block visited")?;
-            self.merge_stats(&mut stats, i, &sel, pruned, skipped, cost);
-            selections.push(sel);
-        }
-        Ok((selections, stats))
-    }
-
-    fn merge_stats(
-        &self,
-        stats: &mut ScanStats,
-        block: usize,
-        sel: &SelectionVector,
-        pruned: bool,
-        skipped: bool,
-        cost: LoadCost,
-    ) {
-        stats.blocks += 1;
-        stats.blocks_pruned += usize::from(pruned);
-        stats.blocks_skipped_io += usize::from(skipped);
-        stats.rows_total += self.footer.blocks[block].rows as usize;
-        stats.rows_matched += sel.len();
-        stats.bytes_read += cost.bytes;
-        stats.cache_hits += cost.cache_hits;
-        stats.cache_misses += cost.cache_misses;
-    }
-
-    /// Mirrors the in-memory up-front expression validation with footer
-    /// metadata alone (names, string-ness, horizontal-ness); dictionary
-    /// layout of an integer `GROUP BY` column is payload-level and is
-    /// checked by the kernel when a block actually evaluates.
-    fn validate_expr_footer(&self, meta: &BlockMeta, expr: &AggExpr) -> Result<()> {
-        if let Some(pred) = expr.filter() {
-            self.validate_pred_footer(meta, pred)?;
-        }
-        match (expr.column(), expr.func()) {
-            (None, AggFunc::Count) => {}
-            (None, _) => return Err(Error::invalid("aggregate function requires a column")),
-            (Some(col), func) => {
-                let idx = self.col_index(col)?;
-                if meta.columns[idx].header.is_string()
-                    && matches!(func, AggFunc::Sum | AggFunc::Avg)
-                {
-                    return Err(Error::TypeMismatch {
-                        expected: "integer column for SUM/AVG",
-                        found: "string column",
-                    });
-                }
-            }
-        }
-        if let Some(group) = expr.group_by() {
-            let idx = self.col_index(group)?;
-            if meta.columns[idx].header.is_horizontal() {
-                return Err(Error::invalid(format!(
-                    "GROUP BY column {group} must be dictionary-encoded \
-                     (a Dict plan or a hierarchical parent)"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Evaluates `expr` against one block, consulting footer zone maps
-    /// before touching any bytes. Returns
-    /// `(partial, pruned, skipped_io, load_cost, rows_matched)`.
-    fn aggregate_block_inner(
-        &self,
-        block: usize,
-        expr: &AggExpr,
-    ) -> Result<(PartialAgg, bool, bool, LoadCost, usize)> {
-        let meta = self.block_meta(block)?;
-        self.validate_expr_footer(meta, expr)?;
-        let rows = meta.rows as usize;
-        let string_target = expr.column().is_some_and(|c| match self.col_index(c) {
-            Ok(idx) => meta.columns[idx].header.is_string(),
-            Err(_) => false,
-        });
-        let grouped = expr.group_by().is_some();
-        if rows == 0 && !grouped {
-            return Ok((
-                PartialAgg::empty(string_target, false),
-                true,
-                true,
-                LoadCost::default(),
-                0,
-            ));
-        }
-        // Footer verdict of the filter; no filter covers every row.
-        let verdict = match expr.filter() {
-            None => RangeVerdict::All,
-            Some(pred) => {
-                let zone_of = |name: &str| -> Option<ZoneMap> {
-                    meta.columns[self.col_index(name).ok()?].zone
-                };
-                tree_verdict(pred, &zone_of)
-            }
-        };
-        if matches!(verdict, RangeVerdict::None) {
-            if !grouped {
-                // Provably empty selection: nothing to fold, zero bytes.
-                return Ok((
-                    PartialAgg::empty(string_target, false),
-                    true,
-                    true,
-                    LoadCost::default(),
-                    0,
-                ));
-            }
-            // The group column's dictionary layout is payload-level (the
-            // footer tag cannot distinguish Dict from other vertical int
-            // codecs), so load that one codec: a non-dictionary GROUP BY
-            // errors here exactly as the in-memory engine does.
-            let handle = self.block_handle(block)?;
-            let group = expr.group_by().expect("grouped");
-            let gidx = handle.index_of(group)?;
-            crate::aggregate::validate_group_codec(handle.view_codec(gidx)?, group)?;
-            return Ok((
-                PartialAgg::empty(string_target, true),
-                true,
-                false,
-                handle.load_cost(),
-                0,
-            ));
-        }
-        if !grouped && matches!(verdict, RangeVerdict::All) {
-            match expr.func() {
-                // COUNT over a fully-covered block is the footer row count
-                // — typed to the target column's kind so partials merge
-                // with kernel-path partials from other blocks.
-                AggFunc::Count => {
-                    let partial = if string_target {
-                        PartialAgg::Str(StrAggState {
-                            count: rows as u64,
-                            ..StrAggState::default()
-                        })
-                    } else {
-                        PartialAgg::Int(IntAggState {
-                            count: rows as u64,
-                            ..IntAggState::default()
-                        })
-                    };
-                    return Ok((partial, true, true, LoadCost::default(), rows));
-                }
-                // MIN/MAX over a fully-covered block with *exact* footer
-                // bounds: answered from the zone map alone. The partial's
-                // sum stays 0 — sound, because SUM/AVG never take this
-                // path and finalize reads only count/min/max here.
-                AggFunc::Min | AggFunc::Max if !string_target => {
-                    let idx = self.col_index(expr.column().expect("validated"))?;
-                    let cm = &meta.columns[idx];
-                    if let (Some(zone), true) = (cm.zone, cm.zone_exact) {
-                        return Ok((
-                            PartialAgg::Int(IntAggState {
-                                count: rows as u64,
-                                sum: 0,
-                                min: Some(zone.min),
-                                max: Some(zone.max),
-                            }),
-                            true,
-                            true,
-                            LoadCost::default(),
-                            rows,
-                        ));
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Kernel path: lazy handle, loading only the payloads the filter
-        // and fold actually touch.
-        let handle = self.block_handle(block)?;
-        let (partial, pruned, matched) = aggregate_partial(&handle, expr)?;
-        Ok((partial, pruned, false, handle.load_cost(), matched))
+        crate::scan::scan_source(self, pred, threads)
     }
 
     /// Evaluates an aggregate expression across every block, answering
@@ -1212,24 +909,7 @@ impl TableReader {
     /// As [`crate::aggregate::aggregate`], plus I/O and corruption errors
     /// from lazy payload loads.
     pub fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)> {
-        let mut merger = AggMerger::new();
-        let mut stats = ScanStats {
-            segments_opened: 1,
-            ..ScanStats::default()
-        };
-        for i in 0..self.n_blocks() {
-            let (partial, pruned, skipped, cost, matched) = self.aggregate_block_inner(i, expr)?;
-            stats.blocks += 1;
-            stats.blocks_pruned += usize::from(pruned);
-            stats.blocks_skipped_io += usize::from(skipped);
-            stats.rows_total += self.footer.blocks[i].rows as usize;
-            stats.rows_matched += matched;
-            stats.bytes_read += cost.bytes;
-            stats.cache_hits += cost.cache_hits;
-            stats.cache_misses += cost.cache_misses;
-            merger.merge(partial)?;
-        }
-        Ok((merger.finish(expr), stats))
+        crate::aggregate::aggregate_source(self, expr, 1)
     }
 
     /// Filter → materialize against one block, loading only the predicate
@@ -1239,8 +919,7 @@ impl TableReader {
     ///
     /// As [`crate::scan::scan_query`].
     pub fn scan_query(&self, block: usize, pred: &Predicate, project: &str) -> Result<QueryOutput> {
-        let handle = self.block_handle(block)?;
-        Ok(scan_materialize(&handle, pred, Projection::Column(project))?.0)
+        crate::scan::scan_query(&self.block_handle(block)?, pred, project)
     }
 
     /// Filter → materialize for a diff-encoded target *and* its reference
@@ -1255,64 +934,7 @@ impl TableReader {
         pred: &Predicate,
         target: &str,
     ) -> Result<(QueryOutput, QueryOutput)> {
-        let handle = self.block_handle(block)?;
-        let (target, reference) = scan_materialize(&handle, pred, Projection::Both(target))?;
-        Ok((
-            target,
-            reference.expect("Both projection returns a reference"),
-        ))
-    }
-
-    /// Mirrors the in-memory TOP-K validation with footer metadata alone
-    /// (names + string-ness), so pruned blocks report the same errors as
-    /// evaluated ones.
-    fn validate_topk_footer(&self, meta: &BlockMeta, expr: &TopKExpr) -> Result<()> {
-        let idx = self.col_index(expr.column())?;
-        if meta.columns[idx].header.is_string() {
-            return Err(Error::TypeMismatch {
-                expected: "integer column for TOP-K",
-                found: "string column",
-            });
-        }
-        if let Some(pred) = expr.filter() {
-            self.validate_pred_footer(meta, pred)?;
-        }
-        Ok(())
-    }
-
-    /// Evaluates TOP-K against one block, consulting footer zone maps
-    /// before touching any bytes: a block whose value zone cannot beat
-    /// `worst` (the current k-th bound) or whose filter verdict is
-    /// provably empty contributes nothing and reads **zero payload
-    /// bytes**. Candidates are offered into `heap` with positions based at
-    /// `global_no << 32`. Returns `(pruned, skipped_io, cost, matched)`.
-    pub(crate) fn top_k_block_inner(
-        &self,
-        block: usize,
-        global_no: u32,
-        expr: &TopKExpr,
-        worst: Option<u64>,
-        heap: &mut TopKHeap,
-    ) -> Result<(bool, bool, LoadCost, usize)> {
-        let meta = self.block_meta(block)?;
-        self.validate_topk_footer(meta, expr)?;
-        if meta.rows == 0 || expr.k() == 0 {
-            return Ok((true, true, LoadCost::default(), 0));
-        }
-        let idx = self.col_index(expr.column())?;
-        if zone_skips_topk(meta.columns[idx].zone, expr.descending(), worst) {
-            return Ok((true, true, LoadCost::default(), 0));
-        }
-        if let Some(pred) = expr.filter() {
-            let zone_of =
-                |name: &str| -> Option<ZoneMap> { meta.columns[self.col_index(name).ok()?].zone };
-            if matches!(tree_verdict(pred, &zone_of), RangeVerdict::None) {
-                return Ok((true, true, LoadCost::default(), 0));
-            }
-        }
-        let handle = self.block_handle(block)?;
-        let (pruned, matched) = top_k_block(&handle, global_no, expr, heap)?;
-        Ok((pruned, false, handle.load_cost(), matched))
+        crate::scan::scan_query_both(&self.block_handle(block)?, pred, target)
     }
 
     /// TOP-K across every block, never touching the bytes of blocks the
@@ -1326,25 +948,13 @@ impl TableReader {
     /// Unknown or non-integer target column, invalid filter, I/O errors,
     /// or corruption.
     pub fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        let mut heap = TopKHeap::new(expr.k(), expr.descending());
-        let mut stats = ScanStats {
-            segments_opened: 1,
-            ..ScanStats::default()
-        };
-        for i in 0..self.n_blocks() {
-            let worst = heap.worst_rank();
-            let (pruned, skipped, cost, matched) =
-                self.top_k_block_inner(i, i as u32, expr, worst, &mut heap)?;
-            self.merge_topk_stats(&mut stats, i, pruned, skipped, cost, matched);
-        }
-        Ok((crate::operator::rows_from(heap), stats))
+        crate::operator::top_k_source(self, expr, 1)
     }
 
-    /// Morsel-parallel [`top_k`](Self::top_k): workers pull block indices
-    /// off an atomic counter and prune against a shared [`TopKBound`].
-    /// Result rows are bit-identical to the serial path for any thread
-    /// count; pruning counters may differ (which blocks get pruned depends
-    /// on how fast the bound tightens).
+    /// [`top_k`](Self::top_k) on `threads` morsel workers pruning against
+    /// one shared [`TopKBound`](crate::operator::TopKBound). Result rows
+    /// are bit-identical for any thread count; pruning counters may differ
+    /// (which blocks get pruned depends on how fast the bound tightens).
     ///
     /// # Errors
     ///
@@ -1354,75 +964,7 @@ impl TableReader {
         expr: &TopKExpr,
         threads: usize,
     ) -> Result<(Vec<TopKRow>, ScanStats)> {
-        let n = self.n_blocks();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || n <= 1 || expr.k() == 0 {
-            return self.top_k(expr);
-        }
-        let bound = TopKBound::new(expr.k(), expr.descending());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        type Slot = Mutex<Option<Result<(bool, bool, LoadCost, usize)>>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let panicked = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let out = (|| {
-                            let mut local = TopKHeap::new(expr.k(), expr.descending());
-                            let res = self.top_k_block_inner(
-                                i,
-                                i as u32,
-                                expr,
-                                bound.worst_rank(),
-                                &mut local,
-                            )?;
-                            bound.merge(local);
-                            Ok(res)
-                        })();
-                        *slots[i].lock().expect("top-k slot poisoned") = Some(out);
-                    })
-                })
-                .collect();
-            workers.into_iter().any(|w| w.join().is_err())
-        });
-        if panicked {
-            return Err(Error::invalid("parallel store top-k worker panicked"));
-        }
-        let mut stats = ScanStats {
-            segments_opened: 1,
-            ..ScanStats::default()
-        };
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (pruned, skipped, cost, matched) = slot
-                .into_inner()
-                .expect("top-k slot poisoned")
-                .expect("every block visited")?;
-            self.merge_topk_stats(&mut stats, i, pruned, skipped, cost, matched);
-        }
-        Ok((bound.into_rows(), stats))
-    }
-
-    fn merge_topk_stats(
-        &self,
-        stats: &mut ScanStats,
-        block: usize,
-        pruned: bool,
-        skipped: bool,
-        cost: LoadCost,
-        matched: usize,
-    ) {
-        stats.blocks += 1;
-        stats.blocks_pruned += usize::from(pruned);
-        stats.blocks_skipped_io += usize::from(skipped);
-        stats.rows_total += self.footer.blocks[block].rows as usize;
-        stats.rows_matched += matched;
-        stats.bytes_read += cost.bytes;
-        stats.cache_hits += cost.cache_hits;
-        stats.cache_misses += cost.cache_misses;
+        crate::operator::top_k_source(self, expr, threads)
     }
 
     /// Materializes `columns` for an arbitrary row-id list (TOP-K winners,
@@ -1434,12 +976,7 @@ impl TableReader {
     ///
     /// Unknown columns, out-of-range row ids, I/O errors, or corruption.
     pub fn gather_rows(&self, ids: &[RowId], columns: &[&str]) -> Result<Vec<QueryOutput>> {
-        crate::operator::gather_rows_with(ids, columns, |block, sel, cols| {
-            let handle = self.block_handle(block as usize)?;
-            cols.iter()
-                .map(|c| crate::query::query_column(&handle, c, sel))
-                .collect()
-        })
+        crate::operator::gather_source(self, ids, columns)
     }
 
     /// Dict-code hash join: builds over this table's `build_key` column,
@@ -1458,22 +995,12 @@ impl TableReader {
         probe: &TableReader,
         expr: &JoinExpr,
     ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        let (table, mut stats) = self.join_build(expr)?;
-        let mut pairs = Vec::new();
-        for b in 0..probe.n_blocks() {
-            let handle = probe.block_handle(b)?;
-            stats.probe_rows +=
-                table.probe_block(&handle, b as u32, expr.probe_key(), &mut pairs)?;
-            absorb_join_cost(&mut stats.io, handle.rows(), handle.load_cost());
-        }
-        stats.pairs = pairs.len();
-        Ok((pairs, stats))
+        crate::operator::hash_join_source(self, probe, expr, 1)
     }
 
-    /// Morsel-parallel [`hash_join`](Self::hash_join): the build phase
-    /// stays serial, probe blocks fan out to workers (each opening its own
-    /// lazy handle), and per-block pair lists concatenate in block order —
-    /// bit-identical to the serial join for any thread count.
+    /// [`hash_join`](Self::hash_join) with probe blocks on `threads`
+    /// morsel workers (the build stays serial); pairs concatenate in block
+    /// order, bit-identical to the serial join for any thread count.
     ///
     /// # Errors
     ///
@@ -1484,88 +1011,88 @@ impl TableReader {
         expr: &JoinExpr,
         threads: usize,
     ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        let n = probe.n_blocks();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || n <= 1 {
-            return self.hash_join(probe, expr);
-        }
-        let (table, mut stats) = self.join_build(expr)?;
-        let table = &table;
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        type Slot = Mutex<Option<Result<(Vec<JoinPair>, usize, usize, LoadCost)>>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let panicked = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let out = (|| {
-                            let handle = probe.block_handle(i)?;
-                            let mut pairs = Vec::new();
-                            let rows = table.probe_block(
-                                &handle,
-                                i as u32,
-                                expr.probe_key(),
-                                &mut pairs,
-                            )?;
-                            Ok((pairs, rows, handle.rows(), handle.load_cost()))
-                        })();
-                        *slots[i].lock().expect("join slot poisoned") = Some(out);
-                    })
-                })
-                .collect();
-            workers.into_iter().any(|w| w.join().is_err())
-        });
-        if panicked {
-            return Err(Error::invalid("parallel store join worker panicked"));
-        }
-        let mut pairs = Vec::new();
-        for slot in slots {
-            let (mut block_pairs, rows, block_rows, cost) = slot
-                .into_inner()
-                .expect("join slot poisoned")
-                .expect("every probe block visited")?;
-            stats.probe_rows += rows;
-            absorb_join_cost(&mut stats.io, block_rows, cost);
-            pairs.append(&mut block_pairs);
-        }
-        stats.pairs = pairs.len();
-        Ok((pairs, stats))
-    }
-
-    /// Builds the join key table over this reader's blocks; `stats.io`
-    /// starts with the build side's traffic and `segments_opened = 2`
-    /// (build + probe tables).
-    fn join_build(&self, expr: &JoinExpr) -> Result<(crate::operator::BuildTable, JoinStats)> {
-        let mut table = crate::operator::BuildTable::new();
-        let mut stats = JoinStats {
-            io: ScanStats {
-                segments_opened: 2,
-                ..ScanStats::default()
-            },
-            ..JoinStats::default()
-        };
-        for b in 0..self.n_blocks() {
-            let handle = self.block_handle(b)?;
-            table.add_block(&handle, b as u32, expr.build_key())?;
-            absorb_join_cost(&mut stats.io, handle.rows(), handle.load_cost());
-        }
-        stats.build_rows = table.build_rows();
-        stats.distinct_keys = table.distinct();
-        Ok((table, stats))
+        crate::operator::hash_join_source(self, probe, expr, threads)
     }
 }
 
-/// Folds one lazy handle's traffic into a join's I/O accounting.
-fn absorb_join_cost(io: &mut ScanStats, rows: usize, cost: LoadCost) {
-    io.blocks += 1;
-    io.rows_total += rows;
-    io.bytes_read += cost.bytes;
-    io.cache_hits += cost.cache_hits;
-    io.cache_misses += cost.cache_misses;
+impl BlockSource for TableReader {
+    type View<'a> = BlockHandle<'a>;
+
+    fn n_blocks(&self) -> usize {
+        TableReader::n_blocks(self)
+    }
+
+    fn block_rows(&self, block: usize) -> usize {
+        self.footer.blocks[block].rows as usize
+    }
+
+    fn segments_opened(&self) -> usize {
+        1
+    }
+
+    fn footer(&self, block: usize) -> Option<BlockFooter<'_>> {
+        Some(BlockFooter {
+            names: &self.names,
+            meta: self.footer.blocks.get(block)?,
+        })
+    }
+
+    fn view(&self, block: usize) -> Result<BlockHandle<'_>> {
+        self.block_handle(block)
+    }
+
+    fn load_cost(view: &BlockHandle<'_>) -> LoadCost {
+        view.cost.get()
+    }
+}
+
+/// One block's footer metadata together with the table's column names:
+/// everything a driver can decide about the block before reading a
+/// payload byte.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockFooter<'a> {
+    /// The table schema's column names, in column order.
+    pub names: &'a [String],
+    /// The block's footer metadata.
+    pub meta: &'a BlockMeta,
+}
+
+impl BlockFooter<'_> {
+    /// Rows in the block.
+    pub(crate) fn rows(&self) -> usize {
+        self.meta.rows as usize
+    }
+
+    /// The metadata of column `name`.
+    pub(crate) fn column(&self, name: &str) -> Result<&ColumnMeta> {
+        let idx = self
+            .names
+            .iter()
+            .position(|n| n == name)
+            .ok_or_else(|| Error::ColumnNotFound(name.to_owned()))?;
+        Ok(&self.meta.columns[idx])
+    }
+
+    /// Whether column `name` stores strings.
+    pub(crate) fn is_string(&self, name: &str) -> Result<bool> {
+        Ok(self.column(name)?.header.is_string())
+    }
+
+    /// Validates `pred` against the footer (as the in-memory kernels
+    /// would) and decides it from zone maps alone: `None` for a zero-row
+    /// block.
+    pub(crate) fn verdict(&self, pred: &Predicate) -> Result<RangeVerdict> {
+        check_pred(pred, &|c| self.is_string(c))?;
+        if self.rows() == 0 {
+            return Ok(RangeVerdict::None);
+        }
+        Ok(tree_verdict(pred, &|c| self.zone_of(c)))
+    }
+
+    /// The covering zone of column `name`, when the footer carries one.
+    pub(crate) fn zone_of(&self, name: &str) -> Option<ZoneMap> {
+        self.column(name).ok()?.zone
+    }
 }
 
 /// A lazy view over one block of a [`TableReader`]: every column's codec is
@@ -1581,13 +1108,9 @@ pub struct BlockHandle<'a> {
     block: usize,
     rows: usize,
     cells: Vec<OnceCell<Arc<ColumnCodec>>>,
-    /// Payload bytes this handle has fetched (per-handle, so per-scan byte
-    /// accounting stays exact even when scans share the reader).
-    loaded_bytes: std::cell::Cell<u64>,
-    /// Column loads the reader's cache answered for this handle.
-    cache_hits: std::cell::Cell<u64>,
-    /// Column loads that fell through to the backend (cache attached only).
-    cache_misses: std::cell::Cell<u64>,
+    /// What this handle has loaded (per handle, so per-scan accounting
+    /// stays exact even when scans share the reader).
+    cost: Cell<LoadCost>,
 }
 
 impl BlockHandle<'_> {
@@ -1598,27 +1121,18 @@ impl BlockHandle<'_> {
 
     /// Payload bytes this handle has fetched so far.
     pub fn loaded_bytes(&self) -> u64 {
-        self.loaded_bytes.get()
+        self.cost.get().bytes
     }
 
     /// Column loads the attached cache answered for this handle (0 when
     /// the reader has no cache).
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.get()
+        self.cost.get().cache_hits
     }
 
     /// Column loads that missed the attached cache (0 without a cache).
     pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.get()
-    }
-
-    /// This handle's cost counters, snapshot.
-    fn load_cost(&self) -> LoadCost {
-        LoadCost {
-            bytes: self.loaded_bytes.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-        }
+        self.cost.get().cache_misses
     }
 
     /// Fully decompresses column `name`, loading only its payload and its
@@ -1649,16 +1163,15 @@ impl BlockView for BlockHandle<'_> {
         })?;
         if cell.get().is_none() {
             let (codec, from_cache) = self.reader.load_codec(self.block, i)?;
+            let mut cost = self.cost.get();
             if from_cache {
-                self.cache_hits.set(self.cache_hits.get() + 1);
+                cost.cache_hits += 1;
             } else {
                 let span = self.reader.footer.blocks[self.block].columns[i].span;
-                self.loaded_bytes
-                    .set(self.loaded_bytes.get() + span.len as u64);
-                if self.reader.cache.is_some() {
-                    self.cache_misses.set(self.cache_misses.get() + 1);
-                }
+                cost.bytes += u64::from(span.len);
+                cost.cache_misses += u64::from(self.reader.cache.is_some());
             }
+            self.cost.set(cost);
             // A concurrent set is impossible (&self is single-threaded via
             // !Sync OnceCell), so the only race is with ourselves above.
             let _ = cell.set(codec);
@@ -1672,11 +1185,11 @@ impl BlockView for BlockHandle<'_> {
 /// single table whose block indices run through the segments in manifest
 /// order.
 ///
-/// Scans and aggregates are exactly the concatenation/merge of the
-/// per-segment operations — selections are byte-identical to a single
-/// file holding the same blocks, and aggregate partials merge through the
-/// same `AggMerger` the single-file path uses, so `AVG` and friends
-/// stay exact across segment boundaries.
+/// Every operator runs over the global block numbering, so morsels span
+/// segments: selections, TOP-K rows and join pairs are byte-identical to a
+/// single file holding the same blocks, and aggregate partials merge in
+/// the same block order, so `AVG` and friends stay exact across segment
+/// boundaries.
 ///
 /// When opened with a cache, each segment reader takes its own
 /// process-unique table id ([`TableReader::with_cache`]), so compaction
@@ -1684,6 +1197,9 @@ impl BlockView for BlockHandle<'_> {
 /// is impossible by construction.
 pub struct SegmentedTable {
     readers: Vec<Arc<TableReader>>,
+    /// Global index of each segment's first block, then the block count:
+    /// locating a block is a binary search, not a walk over segments.
+    starts: Vec<usize>,
 }
 
 impl SegmentedTable {
@@ -1737,13 +1253,17 @@ impl SegmentedTable {
             }
             readers.push(Arc::new(reader));
         }
-        Ok(Self { readers })
+        Ok(Self::from_readers(readers))
     }
 
     /// Wraps already-open segment readers, in table order.
     #[must_use]
     pub fn from_readers(readers: Vec<Arc<TableReader>>) -> Self {
-        Self { readers }
+        let mut starts = vec![0];
+        for reader in &readers {
+            starts.push(starts[starts.len() - 1] + reader.n_blocks());
+        }
+        Self { readers, starts }
     }
 
     /// The per-segment readers, in table order.
@@ -1761,7 +1281,7 @@ impl SegmentedTable {
     /// Total blocks across all segments.
     #[must_use]
     pub fn n_blocks(&self) -> usize {
-        self.readers.iter().map(|r| r.n_blocks()).sum()
+        self.starts[self.readers.len()]
     }
 
     /// Total rows across all segments.
@@ -1771,18 +1291,17 @@ impl SegmentedTable {
     }
 
     /// Maps a global block index to `(segment reader, local block index)`.
-    fn locate(&self, block: usize) -> Result<(&Arc<TableReader>, usize)> {
-        let mut remaining = block;
-        for reader in &self.readers {
-            if remaining < reader.n_blocks() {
-                return Ok((reader, remaining));
-            }
-            remaining -= reader.n_blocks();
+    fn locate(&self, block: usize) -> Result<(&TableReader, usize)> {
+        if block >= self.n_blocks() {
+            return Err(Error::IndexOutOfBounds {
+                index: block,
+                len: self.n_blocks(),
+            });
         }
-        Err(Error::IndexOutOfBounds {
-            index: block,
-            len: self.n_blocks(),
-        })
+        // The last segment starting at or before `block` (empty segments
+        // share their start with the next one).
+        let seg = self.starts.partition_point(|&s| s <= block) - 1;
+        Ok((&self.readers[seg], block - self.starts[seg]))
     }
 
     /// A lazy handle on the global `block` index.
@@ -1822,18 +1341,11 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::scan_blocks`].
     pub fn scan_blocks(&self, pred: &Predicate) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        let mut stats = ScanStats::default();
-        let mut selections = Vec::with_capacity(self.n_blocks());
-        for reader in &self.readers {
-            let (sels, seg_stats) = reader.scan_blocks(pred)?;
-            stats.absorb(&seg_stats);
-            selections.extend(sels);
-        }
-        Ok((selections, stats))
+        crate::scan::scan_source(self, pred, 1)
     }
 
-    /// Morsel-parallel [`scan_blocks`](Self::scan_blocks), segment by
-    /// segment; identical output for any thread count.
+    /// [`scan_blocks`](Self::scan_blocks) on `threads` morsel workers, with
+    /// morsels spanning segments; identical output for any thread count.
     ///
     /// # Errors
     ///
@@ -1843,57 +1355,18 @@ impl SegmentedTable {
         pred: &Predicate,
         threads: usize,
     ) -> Result<(Vec<SelectionVector>, ScanStats)> {
-        let mut stats = ScanStats::default();
-        let mut selections = Vec::with_capacity(self.n_blocks());
-        for reader in &self.readers {
-            let (sels, seg_stats) = reader.scan_blocks_parallel(pred, threads)?;
-            stats.absorb(&seg_stats);
-            selections.extend(sels);
-        }
-        Ok((selections, stats))
+        crate::scan::scan_source(self, pred, threads)
     }
 
     /// Evaluates an aggregate across every segment, merging per-block
-    /// partials through the same `AggMerger` as the single-file path —
-    /// results are identical to aggregating one file holding all blocks.
+    /// partials in global block order — results are identical to
+    /// aggregating one file holding all blocks.
     ///
     /// # Errors
     ///
     /// As [`TableReader::aggregate`].
     pub fn aggregate(&self, expr: &AggExpr) -> Result<(AggResult, ScanStats)> {
-        let mut merger = AggMerger::new();
-        let mut stats = ScanStats::default();
-        for reader in &self.readers {
-            stats.segments_opened += 1;
-            for i in 0..reader.n_blocks() {
-                let (partial, pruned, skipped, cost, matched) =
-                    reader.aggregate_block_inner(i, expr)?;
-                stats.blocks += 1;
-                stats.blocks_pruned += usize::from(pruned);
-                stats.blocks_skipped_io += usize::from(skipped);
-                stats.rows_total += reader.footer.blocks[i].rows as usize;
-                stats.rows_matched += matched;
-                stats.bytes_read += cost.bytes;
-                stats.cache_hits += cost.cache_hits;
-                stats.cache_misses += cost.cache_misses;
-                merger.merge(partial)?;
-            }
-        }
-        Ok((merger.finish(expr), stats))
-    }
-
-    /// The `(segment index, local block, global block)` triples, in table
-    /// order — the morsel list for cross-segment parallel drivers.
-    fn block_triples(&self) -> Vec<(usize, usize, u32)> {
-        let mut triples = Vec::with_capacity(self.n_blocks());
-        let mut global = 0u32;
-        for (seg, reader) in self.readers.iter().enumerate() {
-            for local in 0..reader.n_blocks() {
-                triples.push((seg, local, global));
-                global += 1;
-            }
-        }
-        triples
+        crate::aggregate::aggregate_source(self, expr, 1)
     }
 
     /// TOP-K across every segment's blocks, sharing one running k-th
@@ -1905,24 +1378,13 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::top_k`].
     pub fn top_k(&self, expr: &TopKExpr) -> Result<(Vec<TopKRow>, ScanStats)> {
-        let mut heap = TopKHeap::new(expr.k(), expr.descending());
-        let mut stats = ScanStats {
-            segments_opened: self.readers.len(),
-            ..ScanStats::default()
-        };
-        for (seg, local, global) in self.block_triples() {
-            let reader = &self.readers[seg];
-            let worst = heap.worst_rank();
-            let (pruned, skipped, cost, matched) =
-                reader.top_k_block_inner(local, global, expr, worst, &mut heap)?;
-            reader.merge_topk_stats(&mut stats, local, pruned, skipped, cost, matched);
-        }
-        Ok((crate::operator::rows_from(heap), stats))
+        crate::operator::top_k_source(self, expr, 1)
     }
 
-    /// Morsel-parallel [`top_k`](Self::top_k) across all segments' blocks
-    /// (one shared [`TopKBound`]); result rows bit-identical to the serial
-    /// path for any thread count, pruning counters timing-dependent.
+    /// [`top_k`](Self::top_k) on `threads` morsel workers spanning all
+    /// segments (one shared [`TopKBound`](crate::operator::TopKBound));
+    /// result rows bit-identical to the serial path for any thread count,
+    /// pruning counters timing-dependent.
     ///
     /// # Errors
     ///
@@ -1932,59 +1394,7 @@ impl SegmentedTable {
         expr: &TopKExpr,
         threads: usize,
     ) -> Result<(Vec<TopKRow>, ScanStats)> {
-        let triples = self.block_triples();
-        let n = triples.len();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || n <= 1 || expr.k() == 0 {
-            return self.top_k(expr);
-        }
-        let bound = TopKBound::new(expr.k(), expr.descending());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        type Slot = Mutex<Option<Result<(bool, bool, LoadCost, usize)>>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let panicked = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let (seg, local, global) = triples[i];
-                        let out = (|| {
-                            let mut heap = TopKHeap::new(expr.k(), expr.descending());
-                            let res = self.readers[seg].top_k_block_inner(
-                                local,
-                                global,
-                                expr,
-                                bound.worst_rank(),
-                                &mut heap,
-                            )?;
-                            bound.merge(heap);
-                            Ok(res)
-                        })();
-                        *slots[i].lock().expect("top-k slot poisoned") = Some(out);
-                    })
-                })
-                .collect();
-            workers.into_iter().any(|w| w.join().is_err())
-        });
-        if panicked {
-            return Err(Error::invalid("parallel segmented top-k worker panicked"));
-        }
-        let mut stats = ScanStats {
-            segments_opened: self.readers.len(),
-            ..ScanStats::default()
-        };
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (pruned, skipped, cost, matched) = slot
-                .into_inner()
-                .expect("top-k slot poisoned")
-                .expect("every block visited")?;
-            let (seg, local, _) = triples[i];
-            self.readers[seg].merge_topk_stats(&mut stats, local, pruned, skipped, cost, matched);
-        }
-        Ok((bound.into_rows(), stats))
+        crate::operator::top_k_source(self, expr, threads)
     }
 
     /// Materializes `columns` for row ids addressed by *global* block
@@ -1994,12 +1404,7 @@ impl SegmentedTable {
     ///
     /// As [`TableReader::gather_rows`].
     pub fn gather_rows(&self, ids: &[RowId], columns: &[&str]) -> Result<Vec<QueryOutput>> {
-        crate::operator::gather_rows_with(ids, columns, |block, sel, cols| {
-            let handle = self.block_handle(block as usize)?;
-            cols.iter()
-                .map(|c| crate::query::query_column(&handle, c, sel))
-                .collect()
-        })
+        crate::operator::gather_source(self, ids, columns)
     }
 
     /// Dict-code hash join building over this table, probing `probe` —
@@ -2014,20 +1419,12 @@ impl SegmentedTable {
         probe: &SegmentedTable,
         expr: &JoinExpr,
     ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        let (table, mut stats) = self.segmented_join_build(probe, expr)?;
-        let mut pairs = Vec::new();
-        for (seg, local, global) in probe.block_triples() {
-            let handle = probe.readers[seg].block_handle(local)?;
-            stats.probe_rows += table.probe_block(&handle, global, expr.probe_key(), &mut pairs)?;
-            absorb_join_cost(&mut stats.io, handle.rows(), handle.load_cost());
-        }
-        stats.pairs = pairs.len();
-        Ok((pairs, stats))
+        crate::operator::hash_join_source(self, probe, expr, 1)
     }
 
-    /// Morsel-parallel [`hash_join`](Self::hash_join): serial build,
-    /// probe blocks fan out across segments, pairs concatenate in global
-    /// block order — bit-identical to the serial join.
+    /// [`hash_join`](Self::hash_join) with probe blocks on `threads`
+    /// morsel workers spanning segments (serial build); pairs concatenate
+    /// in global block order — bit-identical to the serial join.
     ///
     /// # Errors
     ///
@@ -2038,77 +1435,37 @@ impl SegmentedTable {
         expr: &JoinExpr,
         threads: usize,
     ) -> Result<(Vec<JoinPair>, JoinStats)> {
-        let triples = probe.block_triples();
-        let n = triples.len();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || n <= 1 {
-            return self.hash_join(probe, expr);
-        }
-        let (table, mut stats) = self.segmented_join_build(probe, expr)?;
-        let table = &table;
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        type Slot = Mutex<Option<Result<(Vec<JoinPair>, usize, usize, LoadCost)>>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-        let panicked = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let (seg, local, global) = triples[i];
-                        let out = (|| {
-                            let handle = probe.readers[seg].block_handle(local)?;
-                            let mut pairs = Vec::new();
-                            let rows =
-                                table.probe_block(&handle, global, expr.probe_key(), &mut pairs)?;
-                            Ok((pairs, rows, handle.rows(), handle.load_cost()))
-                        })();
-                        *slots[i].lock().expect("join slot poisoned") = Some(out);
-                    })
-                })
-                .collect();
-            workers.into_iter().any(|w| w.join().is_err())
-        });
-        if panicked {
-            return Err(Error::invalid("parallel segmented join worker panicked"));
-        }
-        let mut pairs = Vec::new();
-        for slot in slots {
-            let (mut block_pairs, rows, block_rows, cost) = slot
-                .into_inner()
-                .expect("join slot poisoned")
-                .expect("every probe block visited")?;
-            stats.probe_rows += rows;
-            absorb_join_cost(&mut stats.io, block_rows, cost);
-            pairs.append(&mut block_pairs);
-        }
-        stats.pairs = pairs.len();
-        Ok((pairs, stats))
+        crate::operator::hash_join_source(self, probe, expr, threads)
+    }
+}
+
+impl BlockSource for SegmentedTable {
+    type View<'a> = BlockHandle<'a>;
+
+    fn n_blocks(&self) -> usize {
+        SegmentedTable::n_blocks(self)
     }
 
-    fn segmented_join_build(
-        &self,
-        probe: &SegmentedTable,
-        expr: &JoinExpr,
-    ) -> Result<(crate::operator::BuildTable, JoinStats)> {
-        let mut table = crate::operator::BuildTable::new();
-        let mut stats = JoinStats {
-            io: ScanStats {
-                segments_opened: self.readers.len() + probe.readers.len(),
-                ..ScanStats::default()
-            },
-            ..JoinStats::default()
-        };
-        for (seg, local, global) in self.block_triples() {
-            let handle = self.readers[seg].block_handle(local)?;
-            table.add_block(&handle, global, expr.build_key())?;
-            absorb_join_cost(&mut stats.io, handle.rows(), handle.load_cost());
-        }
-        stats.build_rows = table.build_rows();
-        stats.distinct_keys = table.distinct();
-        Ok((table, stats))
+    fn block_rows(&self, block: usize) -> usize {
+        let (reader, local) = self.locate(block).expect("block in range");
+        reader.block_rows(local)
+    }
+
+    fn segments_opened(&self) -> usize {
+        self.readers.len()
+    }
+
+    fn footer(&self, block: usize) -> Option<BlockFooter<'_>> {
+        let (reader, local) = self.locate(block).ok()?;
+        BlockSource::footer(reader, local)
+    }
+
+    fn view(&self, block: usize) -> Result<BlockHandle<'_>> {
+        self.block_handle(block)
+    }
+
+    fn load_cost(view: &BlockHandle<'_>) -> LoadCost {
+        view.cost.get()
     }
 }
 
