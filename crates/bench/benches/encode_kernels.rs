@@ -87,7 +87,7 @@ fn corra_benches(c: &mut Criterion) {
     let nonhier = NonHierInt::encode(&dates.receiptdate, &dates.shipdate).unwrap();
     let hier = HierInt::encode(&taxi.fare_amount, &parent_codes, 97).unwrap();
     let multiref = MultiRefInt::encode(&taxi.total_amount, &group_sums, 2).unwrap();
-    let mut out = Vec::with_capacity(N);
+    let mut out = vec![0; N];
     group.bench_function("nonhier", |b| {
         b.iter(|| nonhier.decode_into(&dates.shipdate, &mut out).unwrap());
     });

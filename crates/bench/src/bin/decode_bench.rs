@@ -4,9 +4,10 @@
 //! and the fused decode+filter sweep vs unpack-then-compare. Prints
 //! values/sec and decoded GB/s per width and seeds the repo's decode perf
 //! trajectory: CI's `perf-smoke` job runs it in quick mode, gates the
-//! 8/12/16-bit speedups, and uploads `BENCH_decode.json` as a workflow
-//! artifact. The resolved kernel tier lands in the JSON (`"kernel"`), so
-//! breadcrumbs are attributable across machines.
+//! 8/12/16-bit speedups (and the SIMD tier's at 11/13/17/25 bits), and
+//! uploads `BENCH_decode.json` as a workflow artifact. The resolved kernel
+//! tier lands in the JSON (`"kernel"`), so breadcrumbs are attributable
+//! across machines.
 //!
 //! ```sh
 //! cargo run --release -p corra-bench --bin decode_bench               # full
@@ -37,11 +38,19 @@ fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// Bit widths measured; 8/12/16 are the acceptance-gated hot widths (dict
-/// codes, dates, IDs), the rest cover dividing, straddling and full widths.
-const WIDTHS: &[u8] = &[1, 2, 4, 8, 12, 16, 20, 24, 32, 48, 64];
+/// codes, dates, IDs), 11/13/17/25 the taxi table's odd widths (`tip_amount`,
+/// `fare_amount`, the `dropoff` diffs, `pickup`), the rest cover dividing,
+/// straddling and full widths.
+const WIDTHS: &[u8] = &[1, 2, 4, 8, 11, 12, 13, 16, 17, 20, 24, 25, 32, 48, 64];
 
-/// Widths the `--min-speedup` / `--min-simd-speedup` gates apply to.
+/// Widths the `--min-speedup` gate applies to: the hot widths, where the
+/// batched engine beats the per-element getter on every tier.
 const GATED_WIDTHS: &[u8] = &[8, 12, 16];
+
+/// Widths the `--min-simd-speedup` gates apply to: the hot widths plus
+/// taxi's odd widths, which only the SIMD tier decodes faster than the
+/// getter (the scalar engine runs them at about getter speed).
+const SIMD_GATED_WIDTHS: &[u8] = &[8, 11, 12, 13, 16, 17, 25];
 
 struct DecodeRow {
     bits: u8,
@@ -331,7 +340,7 @@ fn main() {
     // so the fallback path keeps CI green everywhere.
     if let Some(min) = min_simd_speedup {
         let binding = kernel != "scalar";
-        for r in rows.iter().filter(|r| GATED_WIDTHS.contains(&r.bits)) {
+        for r in rows.iter().filter(|r| SIMD_GATED_WIDTHS.contains(&r.bits)) {
             let ok = !binding || r.simd_speedup() >= min;
             println!(
                 "gate: {}-bit simd-vs-batched-scalar {:.2}x (>= {min:.2}x, kernel={kernel}) {}",

@@ -92,7 +92,9 @@ fn main() {
         .ok()
         .and_then(|s| s.replace('_', "").parse().ok())
         .unwrap_or(if quick { 400_000 } else { 2_000_000 });
-    let rounds = if quick { 6 } else { 12 };
+    // Eight requests a round (four point reads, four queries): 1,000 a
+    // pass, so the p99 is an order statistic of ten samples, not one.
+    let rounds = 125;
     println!("Serve bench at {rows} rows, {rounds} traffic rounds (quick={quick})");
 
     // The store bench's table shape: TPC-H date triple across several

@@ -35,23 +35,25 @@
 //!
 //! # AVX2 width strategy
 //!
-//! | widths            | kernel                                            |
-//! |-------------------|---------------------------------------------------|
-//! | 1, 2, 4           | broadcast word + `vpsrlvq` variable shifts        |
-//! | 6, 10, 12, 14     | memory-source `vpbroadcastq` + constant `vpsrlvq` |
-//! |                   | (4 values = a whole number of bytes, one qword)   |
-//! | 8, 16, 32         | `vpmovzx` widening loads, unrolled                |
-//! | 24                | `pshufb` byte gather → dword lanes + `vpmovzxdq`  |
-//! | 64                | word copy                                         |
-//! | everything else   | the batched scalar engine (measured faster than   |
-//! |                   | `vpgatherqq` for straddling widths on modern x86) |
+//! | widths              | kernel                                          |
+//! |---------------------|-------------------------------------------------|
+//! | 1, 2, 4             | broadcast word + `vpsrlvq` variable shifts      |
+//! | 6, 10, 12, 14       | memory-source `vpbroadcastq` + constant         |
+//! |                     | `vpsrlvq` (4 values = whole bytes, one qword)   |
+//! | 8, 16, 32           | `vpmovzx` widening loads, unrolled              |
+//! | 3, 5, 7, 9, 11, 13, | `vbroadcasti128` window + `pshufb` byte gather  |
+//! | 15, 17–31           | into qword lanes + per-lane `vpsrlvq` + mask;   |
+//! |                     | two constant shuffle/shift pairs per width      |
+//! | 64                  | word copy                                       |
+//! | 33–63               | the batched scalar engine (measured faster than |
+//! |                     | `vpgatherqq` on modern x86)                     |
 //!
 //! Every SIMD main loop bounds itself so unaligned loads never read past
 //! the packed word buffer; the remainder runs through the scalar core.
-//! The broadcast kernel carries the non-byte-dividing gated width (12):
-//! a memory-source broadcast costs no shuffle-port micro-op, so the loop
-//! is load/shift/store bound instead of port-5 bound like a `pshufb`
-//! design.
+//! The broadcast kernel keeps the even widths whose four values fill
+//! whole bytes of one qword (6–14): a memory-source broadcast costs no
+//! shuffle-port micro-op, so that loop is load/shift/store bound, while
+//! the byte gather spends one `pshufb` per four values.
 
 use crate::bitpack::{self, UNPACK_CHUNK};
 use std::sync::OnceLock;
@@ -353,8 +355,8 @@ mod avx2 {
             6 | 10 | 12 | 14 => unpack_even16::<ADD>(bits, words, base, out, n),
             8 => unpack_cvt::<8, ADD>(words, base, out, n),
             16 => unpack_cvt::<16, ADD>(words, base, out, n),
-            24 => unpack_w24::<ADD>(words, base, out, n),
             32 => unpack_cvt::<32, ADD>(words, base, out, n),
+            3..=GATHER_MAX_BITS => unpack_gather::<ADD>(bits, words, base, out, n),
             64 => {
                 for (i, &v) in words.iter().enumerate().take(n) {
                     *out.add(i) = if ADD {
@@ -364,9 +366,9 @@ mod avx2 {
                     };
                 }
             }
-            // Straddling widths: the autovectorized batched scalar engine
-            // beats a `vpgatherqq` design (gather throughput ≈ 1 value per
-            // cycle), so the AVX2 tier reuses it rather than regressing.
+            // Widths 33–63: the batched scalar engine. Four values no
+            // longer fit one 16-byte window, and the engine beats a
+            // `vpgatherqq` design (gather throughput ≈ 1 value per cycle).
             _ => {
                 if ADD {
                     let s = core::slice::from_raw_parts_mut(out as *mut i64, n);
@@ -503,30 +505,111 @@ mod avx2 {
         scalar_span::<ADD>(bits, words, base, out, j, n);
     }
 
-    /// Width 24: every value is byte-aligned at a 3-byte stride, so
-    /// `pshufb` gathers four values' byte triples into zero-extended dword
-    /// lanes (the index high bit zeroes the fourth byte) and `vpmovzxdq`
-    /// widens them — no mask needed.
+    /// Widest width [`unpack_gather`] handles: four values plus a 4-bit
+    /// phase must fit its 16-byte window (`4 + 4·b <= 128`).
+    const GATHER_MAX_BITS: u8 = 31;
+
+    /// Per-width constants of [`unpack_gather`], for the two 4-value
+    /// groups of an 8-value step: `shuf[h]` moves each value's eight
+    /// window bytes (from the byte its first bit lies in) into its qword
+    /// lane — lanes 0–1 index the low copy of the broadcast window, lanes
+    /// 2–3 the high copy — and `shift[h]` is the bit offset left over
+    /// inside that first byte.
+    #[derive(Clone, Copy)]
+    struct GatherConsts {
+        shuf: [[i8; 32]; 2],
+        shift: [[i64; 4]; 2],
+    }
+
+    const fn gather_consts(bits: usize) -> GatherConsts {
+        let mut c = GatherConsts {
+            shuf: [[0; 32]; 2],
+            shift: [[0; 4]; 2],
+        };
+        let mut h = 0;
+        while h < 2 {
+            // Group h starts at bit 4·h·b of the step, i.e. at bit
+            // (4·h·b) mod 8 of its window.
+            let phase = (4 * h * bits) % 8;
+            let mut k = 0;
+            while k < 4 {
+                let bit = phase + k * bits;
+                c.shift[h][k] = (bit % 8) as i64;
+                let mut i = 0;
+                while i < 8 {
+                    let src = bit / 8 + i;
+                    // 0x80 zeroes the byte; only bytes past the value's
+                    // last bit ever fall outside the window.
+                    c.shuf[h][8 * k + i] = if src < 16 { src as i8 } else { -128 };
+                    i += 1;
+                }
+                k += 1;
+            }
+            h += 1;
+        }
+        c
+    }
+
+    static GATHER: [GatherConsts; GATHER_MAX_BITS as usize + 1] = {
+        let mut t = [gather_consts(0); GATHER_MAX_BITS as usize + 1];
+        let mut b = 1;
+        while b <= GATHER_MAX_BITS as usize {
+            t[b] = gather_consts(b);
+            b += 1;
+        }
+        t
+    };
+
+    /// Every width up to [`GATHER_MAX_BITS`] without a dedicated body: all
+    /// odd widths from 3 and the even 18–30. A 4-value group spans at most
+    /// 16 bytes from the byte its first value starts in, so one
+    /// `vbroadcasti128` load feeds a `vpshufb` that moves each value's
+    /// bytes into its own qword lane, then a `vpsrlvq` by the value's
+    /// leftover bit offset and a mask. An odd-width group starts mid-byte
+    /// every other time, so each width has two constant shuffle/shift
+    /// pairs, one per group of an 8-value step. One shuffle-port micro-op
+    /// per four values and no widening step.
     #[inline(always)]
-    unsafe fn unpack_w24<const ADD: bool>(words: &[u64], base: i64, out: *mut u64, n: usize) {
+    unsafe fn unpack_gather<const ADD: bool>(
+        bits: u8,
+        words: &[u64],
+        base: i64,
+        out: *mut u64,
+        n: usize,
+    ) {
+        debug_assert!((1..=GATHER_MAX_BITS).contains(&bits));
         let bytes = words.len() * 8;
         let p = words.as_ptr() as *const u8;
+        let b = bits as usize;
+        let c = &GATHER[b];
+        let shuf0 = _mm256_loadu_si256(c.shuf[0].as_ptr() as *const __m256i);
+        let shuf1 = _mm256_loadu_si256(c.shuf[1].as_ptr() as *const __m256i);
+        let sh0 = _mm256_loadu_si256(c.shift[0].as_ptr() as *const __m256i);
+        let sh1 = _mm256_loadu_si256(c.shift[1].as_ptr() as *const __m256i);
+        let maskv = _mm256_set1_epi64x(mask_of(bits) as i64);
         let basev = _mm256_set1_epi64x(base);
-        let zero = -128i8; // 0x80: pshufb writes a zero byte
-        let idx = _mm_setr_epi8(0, 1, 2, zero, 3, 4, 5, zero, 6, 7, 8, zero, 9, 10, 11, zero);
+        let half = 4 * b / 8; // byte offset of the second group's window
+        #[inline(always)]
+        unsafe fn group(p: *const u8, shuf: __m256i, sh: __m256i, maskv: __m256i) -> __m256i {
+            let x = _mm256_broadcastsi128_si256(_mm_loadu_si128(p as *const __m128i));
+            _mm256_and_si256(_mm256_srlv_epi64(_mm256_shuffle_epi8(x, shuf), sh), maskv)
+        }
+        // Step j..j+8 starts at byte j·b/8 = off; both windows stay inside
+        // `words` while the second one's 16 bytes do.
         let mut j = 0usize;
-        // Group j..j+4 starts at byte 3j and loads 16 bytes.
-        while j + 4 <= n && 3 * j + 16 <= bytes {
-            let x = _mm_loadu_si128(p.add(3 * j) as *const __m128i);
+        let mut off = 0usize;
+        while j + 8 <= n && off + half + 16 <= bytes {
+            finish::<ADD>(group(p.add(off), shuf0, sh0, maskv), basev, out, j);
             finish::<ADD>(
-                _mm256_cvtepu32_epi64(_mm_shuffle_epi8(x, idx)),
+                group(p.add(off + half), shuf1, sh1, maskv),
                 basev,
                 out,
-                j,
+                j + 4,
             );
-            j += 4;
+            j += 8;
+            off += b;
         }
-        scalar_span::<ADD>(24, words, base, out, j, n);
+        scalar_span::<ADD>(bits, words, base, out, j, n);
     }
 
     /// Byte-dividing widths 8/16/32: `vpmovzx` widening loads, three

@@ -2,9 +2,10 @@
 //! kernel table usable on this machine (`simd::tiers()`, i.e. scalar plus
 //! AVX2 when detected) is forced onto the same inputs and must be
 //! bit-identical to the scalar engine — plain unpack, fused FOR add, and
-//! the fused decode+compare — for every width in `0..=64`, at the chunk
-//! boundary lengths 1023/1024/1025, on all-zeros/all-max payloads, and at
-//! range boundaries. Failures name the width (and tier) that diverged.
+//! the fused decode+compare — for every width in `0..=64`, at every length
+//! `0..=70` and the chunk boundary lengths 1023/1024/1025, on
+//! all-zeros/all-max payloads, and at range boundaries. Failures name the
+//! width (and tier) that diverged.
 
 use corra_columnar::bitpack::BitPackedVec;
 use corra_columnar::simd;
@@ -124,6 +125,36 @@ fn fused_compare_boundary_parity_every_width_all_tiers() {
                 assert!(got.is_empty(), "tier {tier} width {bits}");
                 packed.filter_range_into_with(k, 1, 0, true, &mut got);
                 assert_eq!(got.len(), len, "tier {tier} width {bits}");
+            }
+        }
+    }
+}
+
+/// Every short length, so each SIMD main loop meets every possible
+/// remainder and every position of the packed buffer's last word. `pack`
+/// sizes the word buffer exactly, so a kernel bounding its unaligned loads
+/// by the value count instead of the buffer would read past the end here.
+#[test]
+fn short_length_parity_every_width_all_tiers() {
+    for k in simd::tiers() {
+        let tier = k.tier.as_str();
+        for bits in 0u8..=64 {
+            let max = width_mask(bits);
+            for len in 0usize..=70 {
+                let values = payload(bits, len, 0x94D049BB133111EB);
+                let packed = BitPackedVec::pack(&values, bits).unwrap();
+                let mut got = Vec::new();
+                packed.unpack_into_with(k, &mut got);
+                assert_eq!(got, values, "tier {tier} width {bits} len {len}");
+                let mut added = Vec::new();
+                packed.unpack_add_into_with(k, -3, &mut added);
+                let want: Vec<i64> = values.iter().map(|&v| (v as i64).wrapping_sub(3)).collect();
+                assert_eq!(added, want, "tier {tier} width {bits} len {len} add");
+                let (lo, hi) = (max / 3, max / 2);
+                let mut sel = Vec::new();
+                packed.filter_range_into_with(k, lo, hi, false, &mut sel);
+                let want = naive_filter(&values, lo, hi, false);
+                assert_eq!(sel, want, "tier {tier} width {bits} len {len} filter");
             }
         }
     }

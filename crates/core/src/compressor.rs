@@ -540,8 +540,9 @@ pub fn decompress_column<B: BlockView + ?Sized>(block: &B, i: usize) -> Result<C
         ColumnCodec::Str(enc) => Ok(Column::Utf8(enc.decode_into_pool())),
         ColumnCodec::PlainStr(p) => Ok(Column::Utf8(p.clone())),
         ColumnCodec::NonHier { enc, reference } => {
-            let refv = decompress_int(block, *reference as usize)?;
-            let mut out = Vec::new();
+            let mut refv = Vec::new();
+            vertical_int(block, *reference as usize)?.decode_into(&mut refv);
+            let mut out = vec![0; enc.len()];
             enc.decode_into(&refv, &mut out)?;
             Ok(Column::Int64(out))
         }
@@ -557,21 +558,17 @@ pub fn decompress_column<B: BlockView + ?Sized>(block: &B, i: usize) -> Result<C
         }
         ColumnCodec::MultiRef { enc, groups } => {
             let sums = group_sums(block, groups)?;
-            let mut out = Vec::new();
+            let mut out = vec![0; enc.len()];
             enc.decode_into(&sums, &mut out)?;
             Ok(Column::Int64(out))
         }
     }
 }
 
-/// Decodes an integer column (must be vertical) to raw values.
-pub(crate) fn decompress_int<B: BlockView + ?Sized>(block: &B, i: usize) -> Result<Vec<i64>> {
+/// The codec of an integer column that must be vertical (a reference).
+fn vertical_int<B: BlockView + ?Sized>(block: &B, i: usize) -> Result<&IntEncoding> {
     match block.view_codec(i)? {
-        ColumnCodec::Int(enc) => {
-            let mut out = Vec::new();
-            enc.decode_into(&mut out);
-            Ok(out)
-        }
+        ColumnCodec::Int(enc) => Ok(enc),
         other => Err(Error::TypeMismatch {
             expected: "vertical int reference",
             found: codec_kind(other),
@@ -596,19 +593,19 @@ pub(crate) fn parent_codes<B: BlockView + ?Sized>(block: &B, i: usize) -> Result
     Ok(codes)
 }
 
-/// Computes per-group reference sums by decoding every group member.
+/// Computes per-group reference sums: every group member decodes straight
+/// into its group's buffer ([`IntAccess::decode_add_into`]), never into a
+/// column of its own.
 pub(crate) fn group_sums<B: BlockView + ?Sized>(
     block: &B,
     groups: &[Vec<u32>],
 ) -> Result<Vec<Vec<i64>>> {
     let mut out = Vec::with_capacity(groups.len());
     for group in groups {
+        // Loading a block checks every codec holds exactly its rows.
         let mut sums = vec![0i64; block.rows()];
         for &gi in group {
-            let v = decompress_int(block, gi as usize)?;
-            for (acc, x) in sums.iter_mut().zip(v) {
-                *acc = acc.wrapping_add(x);
-            }
+            vertical_int(block, gi as usize)?.decode_add_into(&mut sums);
         }
         out.push(sums);
     }

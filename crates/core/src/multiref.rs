@@ -14,7 +14,7 @@
 
 use bytes::{Buf, BufMut};
 use corra_columnar::aggregate::IntAggState;
-use corra_columnar::bitpack::BitPackedVec;
+use corra_columnar::bitpack::{BitPackedVec, UNPACK_CHUNK};
 use corra_columnar::error::{Error, Result};
 use corra_columnar::selection::SelectionVector;
 
@@ -125,21 +125,26 @@ impl MultiRefInt {
             }
         }
         let n_masks = (1usize << g) - 1;
-        // Per-row bitset of matching candidate masks (mask m matches row i if
-        // the subset-sum equals target[i]).
-        let mut row_matches = vec![0u64; n];
+        // Per-row bitset of matching candidate masks (mask m, bit m - 1,
+        // matches row i if the subset-sum equals target[i]); `wpr` words
+        // per row, as 8 groups give 255 candidates.
+        let wpr = n_masks.div_ceil(64);
+        let matches = |row_matches: &[u64], i: usize, m: usize| {
+            row_matches[i * wpr + (m - 1) / 64] >> ((m - 1) % 64) & 1 == 1
+        };
+        let mut row_matches = vec![0u64; n * wpr];
         let mut sums_at = vec![0i64; g];
-        for i in 0..n {
+        for (i, row) in row_matches.chunks_exact_mut(wpr).enumerate() {
             for (k, s) in group_sums.iter().enumerate() {
                 sums_at[k] = s[i];
             }
-            let mut bits = 0u64;
+            // Branch-free: whether a mask matches is data-dependent.
+            let mut bits = [0u64; 4];
             for m in 1..=n_masks {
-                if Formula(m as u8).eval(&sums_at) == target[i] {
-                    bits |= 1 << (m - 1);
-                }
+                let hit = Formula(m as u8).eval(&sums_at) == target[i];
+                bits[(m - 1) / 64] |= (hit as u64) << ((m - 1) % 64);
             }
-            row_matches[i] = bits;
+            row.copy_from_slice(&bits[..wpr]);
         }
         // Greedy set cover: repeatedly pick the mask covering the most
         // still-uncovered rows.
@@ -148,15 +153,17 @@ impl MultiRefInt {
         let mut covered = vec![false; n];
         for _ in 0..max_formulas {
             let mut counts = vec![0usize; n_masks];
-            for i in 0..n {
-                if covered[i] {
-                    continue;
-                }
-                let mut bits = row_matches[i];
-                while bits != 0 {
-                    let m = bits.trailing_zeros() as usize;
-                    counts[m] += 1;
-                    bits &= bits - 1;
+            for (row, _) in row_matches
+                .chunks_exact(wpr)
+                .zip(&covered)
+                .filter(|&(_, &c)| !c)
+            {
+                for (w, &word) in row.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        counts[64 * w + bits.trailing_zeros() as usize] += 1;
+                        bits &= bits - 1;
+                    }
                 }
             }
             let (best_mask, best_count) = counts
@@ -169,10 +176,8 @@ impl MultiRefInt {
                 break;
             }
             selected.push(Formula((best_mask + 1) as u8));
-            for i in 0..n {
-                if row_matches[i] & (1 << best_mask) != 0 {
-                    covered[i] = true;
-                }
+            for (i, c) in covered.iter_mut().enumerate() {
+                *c |= matches(&row_matches, i, best_mask + 1);
             }
         }
         if selected.is_empty() {
@@ -182,15 +187,15 @@ impl MultiRefInt {
         // Assign codes: first selected formula that matches; else outlier.
         let mut codes = Vec::with_capacity(n);
         let mut outliers = OutlierRegion::new();
-        for i in 0..n {
+        for (i, &t) in target.iter().enumerate() {
             let code = selected
                 .iter()
-                .position(|f| row_matches[i] & (1u64 << (f.0 as u64 - 1)) != 0);
+                .position(|f| matches(&row_matches, i, f.0 as usize));
             match code {
                 Some(c) => codes.push(c as u64),
                 None => {
                     codes.push(0);
-                    outliers.push(i as u32, target[i]);
+                    outliers.push(i as u32, t);
                 }
             }
         }
@@ -254,27 +259,50 @@ impl MultiRefInt {
         self.formulas[self.codes.get(i) as usize].eval(group_sums_at_row)
     }
 
-    /// Bulk decode given full per-group sum columns.
-    pub fn decode_into(&self, group_sums: &[Vec<i64>], out: &mut Vec<i64>) -> Result<()> {
-        for s in group_sums {
-            if s.len() != self.len() {
+    /// Bulk decode given full per-group sum columns into `out`, which must
+    /// hold exactly [`len`](Self::len) slots (every slot is overwritten).
+    ///
+    /// Branch-free and chunked: each decoded chunk of codes is first mapped
+    /// to its formulas' group bits, then every group adds its sums in one
+    /// vectorizable pass, `out[i] += -(bit_g(i)) & sums[g][i]` — the
+    /// all-ones/all-zero mask selects the group without a branch.
+    pub fn decode_into(&self, group_sums: &[Vec<i64>], out: &mut [i64]) -> Result<()> {
+        for len in group_sums.iter().map(Vec::len).chain([out.len()]) {
+            if len != self.len() {
                 return Err(Error::LengthMismatch {
-                    left: s.len(),
+                    left: len,
                     right: self.len(),
                 });
             }
         }
-        out.clear();
-        out.reserve(self.len());
-        let g = group_sums.len();
-        let mut sums_at = vec![0i64; g];
+        // Formula bits per code, padded to a power of two so `code & (n - 1)`
+        // is always in range. Codes past the formula table cannot occur:
+        // `encode` never produces them and `read_from` rejects them.
+        let n_codes = self.formulas.len().next_power_of_two();
+        let formula_bits: Vec<i64> = (0..n_codes)
+            .map(|c| self.formulas.get(c).map_or(0, |f| f.0 as i64))
+            .collect();
+        let mut bits = [0i64; UNPACK_CHUNK];
         self.codes.unpack_chunks(|start, chunk| {
-            for (j, &c) in chunk.iter().enumerate() {
-                let i = start + j;
-                for (k, s) in group_sums.iter().enumerate() {
-                    sums_at[k] = s[i];
+            let bits = &mut bits[..chunk.len()];
+            for (b, &c) in bits.iter_mut().zip(chunk) {
+                *b = formula_bits[c as usize & (n_codes - 1)];
+            }
+            let out = &mut out[start..start + chunk.len()];
+            for (g, s) in group_sums.iter().enumerate() {
+                let rows = out
+                    .iter_mut()
+                    .zip(&*bits)
+                    .zip(&s[start..start + chunk.len()]);
+                if g == 0 {
+                    for ((o, &b), &x) in rows {
+                        *o = -(b & 1) & x;
+                    }
+                } else {
+                    for ((o, &b), &x) in rows {
+                        *o = o.wrapping_add(-(b >> g & 1) & x);
+                    }
                 }
-                out.push(self.formulas[c as usize].eval(&sums_at));
             }
         });
         self.outliers.patch(out);
@@ -565,7 +593,7 @@ mod tests {
             "{}",
             stats.outlier_rate()
         );
-        let mut out = Vec::new();
+        let mut out = vec![0; enc.len()];
         enc.decode_into(&groups, &mut out).unwrap();
         assert_eq!(out, target);
     }
@@ -617,7 +645,7 @@ mod tests {
         let target = a.clone();
         let enc = MultiRefInt::encode(&target, std::slice::from_ref(&a), 1).unwrap();
         assert!(enc.outliers().is_empty());
-        let mut out = Vec::new();
+        let mut out = vec![0; enc.len()];
         enc.decode_into(&[a], &mut out).unwrap();
         assert_eq!(out, target);
     }
@@ -628,7 +656,7 @@ mod tests {
         let target: Vec<i64> = (0..50).map(|i| 1_000 + i as i64).collect();
         let enc = MultiRefInt::encode(&target, std::slice::from_ref(&a), 2).unwrap();
         assert_eq!(enc.outliers().len(), 50);
-        let mut out = Vec::new();
+        let mut out = vec![0; enc.len()];
         enc.decode_into(&[a], &mut out).unwrap();
         assert_eq!(out, target);
     }

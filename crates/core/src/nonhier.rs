@@ -223,22 +223,27 @@ impl NonHierInt {
             .wrapping_add(self.diffs.get(i) as i64)
     }
 
-    /// Bulk decode given the full decoded reference column.
-    pub fn decode_into(&self, reference: &[i64], out: &mut Vec<i64>) -> Result<()> {
-        if reference.len() != self.len() {
-            return Err(Error::LengthMismatch {
-                left: reference.len(),
-                right: self.len(),
-            });
+    /// Bulk decode given the full decoded reference column into `out`,
+    /// which must hold exactly [`len`](Self::len) slots (every slot is
+    /// overwritten).
+    pub fn decode_into(&self, reference: &[i64], out: &mut [i64]) -> Result<()> {
+        for len in [reference.len(), out.len()] {
+            if len != self.len() {
+                return Err(Error::LengthMismatch {
+                    left: len,
+                    right: self.len(),
+                });
+            }
         }
-        out.clear();
-        out.reserve(self.len());
         // Batched diff unpack fused with the reference add; the outlier
         // patch stays a sparse post-pass.
         let base = self.base;
         self.diffs.unpack_chunks(|start, chunk| {
-            for (&r, &d) in reference[start..start + chunk.len()].iter().zip(chunk) {
-                out.push(r.wrapping_add(base).wrapping_add(d as i64));
+            let rows = out[start..start + chunk.len()]
+                .iter_mut()
+                .zip(&reference[start..start + chunk.len()]);
+            for ((o, &r), &d) in rows.zip(chunk) {
+                *o = r.wrapping_add(base).wrapping_add(d as i64);
             }
         });
         self.outliers.patch(out);
@@ -552,7 +557,7 @@ mod tests {
         // Diff range [1,30] -> 5 bits, no outliers (paper's observation).
         assert_eq!(enc.bits(), 5);
         assert!(enc.outliers().is_empty());
-        let mut out = Vec::new();
+        let mut out = vec![0; enc.len()];
         enc.decode_into(&ship, &mut out).unwrap();
         assert_eq!(out, receipt);
     }
@@ -589,7 +594,7 @@ mod tests {
         let enc = NonHierInt::encode(&commit, &ship).unwrap();
         assert!(enc.outliers().is_empty());
         assert_eq!(enc.bits(), 8); // range 180
-        let mut out = Vec::new();
+        let mut out = vec![0; enc.len()];
         enc.decode_into(&ship, &mut out).unwrap();
         assert_eq!(out, commit);
     }
@@ -604,7 +609,7 @@ mod tests {
         let enc = NonHierInt::encode(&target, &reference).unwrap();
         assert_eq!(enc.outliers().len(), 2);
         assert_eq!(enc.bits(), 4);
-        let mut out = Vec::new();
+        let mut out = vec![0; enc.len()];
         enc.decode_into(&reference, &mut out).unwrap();
         assert_eq!(out, target);
         assert_eq!(enc.get(5, reference[5]), 1_000_000);
@@ -623,8 +628,8 @@ mod tests {
         let naive = NonHierInt::encode_no_outliers(&target, &reference).unwrap();
         assert!(with_model.compressed_bytes() < naive.compressed_bytes() / 3);
         // Both still decode losslessly.
-        let mut a = Vec::new();
-        let mut b = Vec::new();
+        let mut a = vec![0; reference.len()];
+        let mut b = vec![0; reference.len()];
         with_model.decode_into(&reference, &mut a).unwrap();
         naive.decode_into(&reference, &mut b).unwrap();
         assert_eq!(a, target);
@@ -654,9 +659,11 @@ mod tests {
     fn empty_columns() {
         let enc = NonHierInt::encode(&[], &[]).unwrap();
         assert!(enc.is_empty());
-        let mut out = vec![9];
+        let mut out = Vec::new();
         enc.decode_into(&[], &mut out).unwrap();
         assert!(out.is_empty());
+        // The output must be sized to the column.
+        assert!(enc.decode_into(&[], &mut [9]).is_err());
     }
 
     #[test]

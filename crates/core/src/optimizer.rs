@@ -520,7 +520,7 @@ mod tests {
         assert_eq!(encoded.len(), 2);
         match (&encoded[0], &encoded[1]) {
             (EncodedColumn::Vertical(_), EncodedColumn::Diff { enc, reference: 0 }) => {
-                let mut out = Vec::new();
+                let mut out = vec![0; enc.len()];
                 enc.decode_into(&reference, &mut out).unwrap();
                 assert_eq!(out, target);
             }

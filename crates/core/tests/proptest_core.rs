@@ -22,7 +22,7 @@ proptest! {
         let target: Vec<i64> = pairs.iter().map(|&(t, _)| t as i64).collect();
         let reference: Vec<i64> = pairs.iter().map(|&(_, r)| r as i64).collect();
         let enc = NonHierInt::encode(&target, &reference).unwrap();
-        let mut out = Vec::new();
+        let mut out = vec![0; enc.len()];
         enc.decode_into(&reference, &mut out).unwrap();
         prop_assert_eq!(&out, &target);
         for (i, &t) in target.iter().enumerate() {
@@ -49,8 +49,8 @@ proptest! {
         let smart = NonHierInt::encode(&target, &reference).unwrap();
         let naive = NonHierInt::encode_no_outliers(&target, &reference).unwrap();
         prop_assert!(smart.compressed_bytes() <= naive.compressed_bytes());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
+        let mut a = vec![0; reference.len()];
+        let mut b = vec![0; reference.len()];
         smart.decode_into(&reference, &mut a).unwrap();
         naive.decode_into(&reference, &mut b).unwrap();
         prop_assert_eq!(a, b);
@@ -113,7 +113,7 @@ proptest! {
             .collect();
         let groups = vec![a.clone(), b.clone()];
         let enc = MultiRefInt::encode(&target, &groups, 2).unwrap();
-        let mut out = Vec::new();
+        let mut out = vec![0; enc.len()];
         enc.decode_into(&groups, &mut out).unwrap();
         prop_assert_eq!(&out, &target);
     }

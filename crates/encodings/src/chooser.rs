@@ -158,6 +158,17 @@ impl IntAccess for IntEncoding {
         }
     }
 
+    fn decode_add_into(&self, acc: &mut [i64]) {
+        match self {
+            IntEncoding::Plain(e) => e.decode_add_into(acc),
+            IntEncoding::For(e) => e.decode_add_into(acc),
+            IntEncoding::Dict(e) => e.decode_add_into(acc),
+            IntEncoding::Rle(e) => e.decode_add_into(acc),
+            IntEncoding::Delta(e) => e.decode_add_into(acc),
+            IntEncoding::Frequency(e) => e.decode_add_into(acc),
+        }
+    }
+
     fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<i64>) {
         match self {
             IntEncoding::Plain(e) => e.gather_into(sel, out),

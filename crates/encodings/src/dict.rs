@@ -145,6 +145,15 @@ impl IntAccess for DictInt {
         });
     }
 
+    fn decode_add_into(&self, acc: &mut [i64]) {
+        assert_eq!(acc.len(), self.len(), "accumulator length");
+        self.codes.unpack_chunks(|start, chunk| {
+            for (a, &c) in acc[start..start + chunk.len()].iter_mut().zip(chunk) {
+                *a = a.wrapping_add(self.dict[c as usize]);
+            }
+        });
+    }
+
     fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<i64>) {
         // Positions are sorted, so one check on the last bounds them all.
         if let Some(&last) = sel.positions().last() {

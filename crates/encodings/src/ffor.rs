@@ -121,6 +121,16 @@ impl IntAccess for ForInt {
         self.packed.unpack_add_into(self.base, out);
     }
 
+    fn decode_add_into(&self, acc: &mut [i64]) {
+        assert_eq!(acc.len(), self.len(), "accumulator length");
+        let base = self.base;
+        self.packed.unpack_chunks(|start, chunk| {
+            for (a, &v) in acc[start..start + chunk.len()].iter_mut().zip(chunk) {
+                *a = a.wrapping_add(base.wrapping_add(v as i64));
+            }
+        });
+    }
+
     fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<i64>) {
         // Positions are sorted, so one check on the last bounds them all —
         // out-of-range selections panic like the scalar getter would.

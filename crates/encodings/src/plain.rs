@@ -83,6 +83,13 @@ impl IntAccess for PlainInt {
         out.extend_from_slice(&self.values);
     }
 
+    fn decode_add_into(&self, acc: &mut [i64]) {
+        assert_eq!(acc.len(), self.len(), "accumulator length");
+        for (a, &x) in acc.iter_mut().zip(&self.values) {
+            *a = a.wrapping_add(x);
+        }
+    }
+
     fn compressed_bytes(&self) -> usize {
         self.values.len() * 8
     }

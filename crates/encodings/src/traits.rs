@@ -30,6 +30,20 @@ pub trait IntAccess {
         }
     }
 
+    /// Adds (wrapping) every decoded value into `acc`, which must hold
+    /// exactly [`len`](Self::len) slots: the accumulate form of
+    /// [`decode_into`](Self::decode_into) that sums reference columns
+    /// without materializing each one. The default decodes into a
+    /// temporary; bit-packed codecs override it with a chunked pass.
+    fn decode_add_into(&self, acc: &mut [i64]) {
+        assert_eq!(acc.len(), self.len(), "accumulator length");
+        let mut v = Vec::new();
+        self.decode_into(&mut v);
+        for (a, x) in acc.iter_mut().zip(v) {
+            *a = a.wrapping_add(x);
+        }
+    }
+
     /// Materializes the values at the selected positions into `out`
     /// (cleared first). This is the query kernel of the latency experiments.
     fn gather_into(&self, sel: &SelectionVector, out: &mut Vec<i64>) {

@@ -32,7 +32,34 @@ fn check_roundtrip(enc: &impl IntAccess, values: &[i64]) -> Result<(), TestCaseE
             prop_assert_eq!(enc.get(i), values[i]);
         }
     }
+    check_decode_add(enc, values)
+}
+
+/// `decode_add_into` adds (wrapping) each decoded value onto what the
+/// accumulator already holds.
+fn check_decode_add(enc: &impl IntAccess, values: &[i64]) -> Result<(), TestCaseError> {
+    let start = |i: usize| (i as i64).wrapping_mul(0x2545_F491_4F6C_DD1D);
+    let mut acc: Vec<i64> = (0..values.len()).map(start).collect();
+    enc.decode_add_into(&mut acc);
+    for (i, (&a, &v)) in acc.iter().zip(values).enumerate() {
+        prop_assert_eq!(a, start(i).wrapping_add(v));
+    }
     Ok(())
+}
+
+/// Past one 1024-value decode chunk, so chunked accumulation lines each
+/// chunk up with its rows.
+#[test]
+fn decode_add_spans_chunks() {
+    let values: Vec<i64> = (0..2_500i64).map(|i| (i * 7_919) % 1_013 - 400).collect();
+    for enc in [
+        IntEncoding::For(ForInt::encode(&values)),
+        IntEncoding::Dict(DictInt::encode(&values)),
+        IntEncoding::Plain(PlainInt::encode(&values)),
+        IntEncoding::Rle(RleInt::encode(&values)),
+    ] {
+        check_decode_add(&enc, &values).unwrap();
+    }
 }
 
 proptest! {

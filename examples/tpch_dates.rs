@@ -40,7 +40,7 @@ fn main() {
     // Spot-check decode of each diff-encoded column.
     for (i, enc) in encoded.iter().enumerate() {
         if let corra::core::EncodedColumn::Diff { enc, reference } = enc {
-            let mut out = Vec::new();
+            let mut out = vec![0; enc.len()];
             enc.decode_into(columns[*reference].1, &mut out)
                 .expect("decode");
             assert_eq!(out, columns[i].1, "lossless decode of {}", columns[i].0);

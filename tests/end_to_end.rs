@@ -260,7 +260,7 @@ fn c3_comparison_pipeline() {
     let d = LineitemDates::generate(100_000, 12);
     let corra_enc = corra::core::NonHierInt::encode(&d.receiptdate, &d.shipdate).unwrap();
     let c3_enc = corra::c3::choose(&d.receiptdate, &d.shipdate).unwrap();
-    let mut a = Vec::new();
+    let mut a = vec![0; corra_enc.len()];
     corra_enc.decode_into(&d.shipdate, &mut a).unwrap();
     assert_eq!(a, d.receiptdate);
     let mut b = Vec::new();
